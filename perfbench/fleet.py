@@ -31,15 +31,17 @@ QUEUE_LIMIT = 128  # ``repro serve`` default
 IN_FLIGHT = 128  # capacity < 128 < capacity + queue limit
 #: Every tenant's control-epoch budget.  Short budgets mean more
 #: submits per second, and each submit waits for the fleet lock that
-#: the pump holds for a whole round; at 16 and 32 epochs one generator
-#: thread was busy over 90% of the time and let the queue run dry.
-EPOCHS = 64
+#: the pump holds for a whole round.  At 64 epochs and a 50 ms status
+#: cadence the generator thread spent 85-100% of the window in requests,
+#: and in half of ten runs the admission queue ran dry: the generator,
+#: not the fleet, set the throughput.
+EPOCHS = 128
 CHAOS_SHARE = 0.1  # tenants carrying one supervised crash
-POLL_S = 0.05  # status cadence
+POLL_S = 0.1  # status cadence
 #: The server's peak RSS is read once this many tenants completed: it
 #: holds every tenant it ever admitted, so memory grows with the work
 #: done, and a fixed point keeps the figure independent of speed.
-RSS_AFTER = 4 * IN_FLIGHT
+RSS_AFTER = 2 * IN_FLIGHT
 #: The first IN_FLIGHT tenants go in over this many polls.  Tenants
 #: share one budget, so tenants admitted in one round finish in one
 #: round: a burst start keeps completing in waves, and each wave's

@@ -8,6 +8,7 @@ JSON result the benchmark contract asks for.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import re
 import resource
 import statistics
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,6 +104,105 @@ def highest_percentile(samples, cap: float = 100.0
 
 def median(values) -> float:
     return float(statistics.median(values))
+
+
+# -- fsync wait --------------------------------------------------------------
+
+
+class FsyncClock:
+    """Calls to ``os.fsync`` in this process and the seconds they block.
+
+    How long an fsync blocks is set by the disk and by everyone else's
+    writeback on a shared host, not by the program: on the hosts this
+    benchmark runs on it moved pass walls of the fsync-heavy workloads
+    by a third from one run to the next.  The in-process workloads
+    therefore time their passes net of fsync wait and report the wait
+    and the number of calls (which the program does set) on their own.
+    Install it before the program runs; it wraps ``os.fsync``, which
+    the program looks up at call time.
+    """
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self.seconds = 0.0
+        self._real = None
+
+    def install(self) -> "FsyncClock":
+        real = self._real = os.fsync
+
+        def fsync(fd):
+            t0 = time.perf_counter()
+            try:
+                return real(fd)
+            finally:
+                self.seconds += time.perf_counter() - t0
+                self.calls += 1
+
+        os.fsync = fsync
+        return self
+
+    def uninstall(self) -> None:
+        if self._real is not None:
+            os.fsync = self._real
+            self._real = None
+
+    def read(self) -> tuple[int, float]:
+        return self.calls, self.seconds
+
+
+# -- host speed --------------------------------------------------------------
+
+#: Seconds :func:`reference_work` took on the 2-vCPU host the benchmark
+#: was sized on (Python 3.11): times scaled by :meth:`HostSpeed.scale`
+#: are what the work would have taken there.
+REFERENCE_S = 0.020
+
+
+def reference_work() -> None:
+    """A fixed piece of interpreter work — dict updates, float math, a
+    sort, a string join — that calls nothing in the program."""
+    d: dict[int, float] = {}
+    for i in range(40000):
+        k = i % 97
+        d[k] = d.get(k, 0.0) + math.sqrt(i) * 0.5
+    xs = sorted((i * 7919) % 10007 for i in range(40000))
+    ",".join(str(x) for x in xs[:4000])
+
+
+class HostSpeed:
+    """How long :func:`reference_work` takes on this host right now.
+
+    The benchmark runs on a few cores of a shared host, whose speed
+    moves by a quarter within minutes as other tenants load the same
+    physical cores.  The drift moves the program's pass times and the
+    reference work in step, so a stretch timed between two samples and
+    scaled by ``REFERENCE_S`` over their mean moves less with the host,
+    while a change to the program moves it as much as before.  Take
+    samples only while the program is idle: a sample that shares the
+    machine with the program's own work measures that work.
+    """
+
+    def __init__(self) -> None:
+        self.samples: list[float] = []
+
+    def sample(self) -> float:
+        enabled = gc.isenabled()
+        gc.disable()  # no collection of the program's garbage in here
+        try:
+            t0 = time.perf_counter()
+            reference_work()
+            dt = time.perf_counter() - t0
+        finally:
+            if enabled:
+                gc.enable()
+        self.samples.append(dt)
+        return dt
+
+    @staticmethod
+    def scale(samples) -> float:
+        """Factor from times measured among ``samples`` to the
+        reference speed."""
+        return REFERENCE_S / statistics.fmean(samples)
 
 
 # -- process facts -----------------------------------------------------------

@@ -10,6 +10,11 @@ per-layer metrics.  Correctness checks run after the timed window in
 both modes.  A human-readable table goes to stderr; stdout ends with a
 metadata line and then the one-line JSON result.
 
+The in-process workloads' end-to-end times are scaled to a
+reference host speed by ``harness.HostSpeed`` samples taken just before
+and after each pass (see ``perfbench/NOTES.md``); the meta line keeps
+the samples.
+
 Run from the root of a checkout; the program is imported from ``src/``.
 """
 
@@ -61,20 +66,22 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
-def in_process(name: str):
+def in_process(args, workdir: Path, fsync: harness.FsyncClock):
     import workloads
 
-    return workloads.WORKLOADS[name]
+    return workloads.WORKLOADS[args.workload](args.seed, workdir, fsync,
+                                              harness.HostSpeed())
 
 
 # -- set-up time -------------------------------------------------------------
 
 
-def probe_setup(args, workdir: Path) -> tuple[float, float | None]:
+def probe_setup(args, workdir: Path) -> tuple[float, dict | None]:
     """One fresh process: seconds from launch until the workload is
     ready to time (interpreter start, imports, input generation, fresh
-    dirs), and the wall of its first pass when the workload measures
-    one (``cold_s`` of ``sweep`` and ``observed``)."""
+    dirs), and when the workload measures one (``cold_s`` of ``sweep``
+    and ``observed``), its first pass: ``{"net_s", "host_s"}``, the time
+    net of fsync wait and the host-speed samples around it."""
     probe_dir = workdir / f"probe-{time.monotonic_ns()}"
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", "0", "--trace", "0",
@@ -94,27 +101,30 @@ def probe_setup(args, workdir: Path) -> tuple[float, float | None]:
     shutil.rmtree(probe_dir, ignore_errors=True)
     if ready.strip() != "ready" or code != 0:
         raise RuntimeError(f"setup probe failed ({code}): {ready!r}")
-    return elapsed, (float(cold) if cold.strip() else None)
+    return elapsed, (json.loads(cold) if cold.strip() else None)
 
 
-def run_setup_probe(args) -> int:
+def run_setup_probe(args, fsync: harness.FsyncClock) -> int:
     workdir = Path(args.setup_probe)
     workdir.mkdir(parents=True)
-    w = in_process(args.workload)(args.seed, workdir)
+    w = in_process(args, workdir, fsync)
     w.setup()
     print("ready", flush=True)
     if w.cold_pass_probed:
-        print(w.run_pass(0).wall_s, flush=True)
+        first = w.run_pass(0)
+        print(json.dumps({"net_s": first.net_s, "host_s": w.speed.samples}),
+              flush=True)
     return 0
 
 
 # -- in-process workloads ----------------------------------------------------
 
 
-def untraced_in_process(args, workdir: Path, outcome: Outcome, table: dict):
+def untraced_in_process(args, workdir: Path, outcome: Outcome, table: dict,
+                        fsync: harness.FsyncClock):
     probes = [probe_setup(args, workdir) for _ in range(SETUP_PROBES)]
     setups = [p[0] for p in probes]
-    w = in_process(args.workload)(args.seed, workdir)
+    w = in_process(args, workdir, fsync)
     inputs = w.setup()
     passes = []
     t_window = time.perf_counter()
@@ -127,36 +137,47 @@ def untraced_in_process(args, workdir: Path, outcome: Outcome, table: dict):
     outcome.ok(sum(p.runs for p in passes))
     w.check(outcome)
 
+    # Pass times net of fsync wait, at the reference speed.
     if args.workload == "campaign":
         cold = [p.extra["cold_s"] for p in passes]
         warm = [p.extra["warm_s"] for p in passes]
         steady = passes
     else:
-        # First passes of the probe processes and of this one.
-        cold = [p[1] for p in probes] + [passes[0].wall_s]
-        warm = [p.wall_s for p in passes[1:]]
+        # First passes of the probe processes and of this one.  Each is
+        # one pass, so the two samples around it would pass their noise
+        # on whole; they take the factor from every sample of the run.
+        firsts = [p[1] for p in probes]
+        host = [x for f in firsts for x in f["host_s"]] + w.speed.samples
+        scale = harness.HostSpeed.scale(host)
+        cold = [f["net_s"] * scale for f in firsts] + [
+            passes[0].net_s * scale]
+        warm = [p.ref_s for p in passes[1:]]
         steady = passes[1:]
     values = {
         "setup_s": harness.median(setups),
         "peak_rss_mb": rss,
-        "runs_per_s": harness.median([p.runs / p.wall_s for p in steady]),
+        "runs_per_s": harness.median([p.runs / p.ref_s for p in steady]),
         "cold_s": harness.median(cold),
         "warm_s": harness.median(warm),
         "tenant_epochs_per_s": harness.median(
-            [p.epochs / p.wall_s for p in steady]),
+            [p.epochs / p.ref_s for p in steady]),
     }
     meta = {
         "inputs": inputs,
         "setup_samples_s": setups,
         "cold_samples_s": cold,
-        "passes": [{"wall_s": p.wall_s, "runs": p.runs, "epochs": p.epochs,
-                    **p.extra} for p in passes],
+        "reference_s": harness.REFERENCE_S,
+        "host_samples_s": w.speed.samples,
+        "passes": [{"wall_s": p.wall_s, "net_s": p.net_s, "scale": p.scale,
+                    "runs": p.runs, "epochs": p.epochs, "fsyncs": p.fsyncs,
+                    "fsync_s": p.fsync_s, **p.extra} for p in passes],
     }
     return values, meta
 
 
-def traced_in_process(args, workdir: Path, outcome: Outcome, table: dict):
-    w = in_process(args.workload)(args.seed, workdir)
+def traced_in_process(args, workdir: Path, outcome: Outcome, table: dict,
+                      fsync: harness.FsyncClock):
+    w = in_process(args, workdir, fsync)
     inputs = w.setup()
     w.run_pass(0)  # warm-up: the first pass in a process is cold
     plain, traced = [], []
@@ -170,12 +191,12 @@ def traced_in_process(args, workdir: Path, outcome: Outcome, table: dict):
                               region=lambda: tracer.span("pass", cid="pass"))
         finally:
             tracer.uninstall()
-        traced.append((done.wall_s, tracer, before, w.counters()))
+        traced.append((done, tracer, before, w.counters()))
         outcome.ok(plain[-1].runs + done.runs)
     w.check(outcome)
     # Per-layer figures from the traced pass with the median wall.
-    _, tracer, before, after = sorted(
-        traced, key=lambda t: t[0])[len(traced) // 2]
+    done, tracer, before, after = sorted(
+        traced, key=lambda t: t[0].wall_s)[len(traced) // 2]
     untraced_wall = harness.median([p.wall_s for p in plain])
 
     spans = tracer.spans
@@ -193,6 +214,8 @@ def traced_in_process(args, workdir: Path, outcome: Outcome, table: dict):
         - values["sim.batch.span_s"] - values["sim.batch.close_s"]
         - values["sim.batch.dispatch_s"])
     fill_split(values, split)
+    values["fsync.calls"] = done.fsyncs
+    values["fsync.wait_s"] = done.fsync_s
     wall = root.t1 - root.t0
     values["trace.wall_s"] = wall
     values["trace.untraced_wall_s"] = untraced_wall
@@ -456,7 +479,7 @@ def main(argv=None) -> int:
               "of a checkout", file=sys.stderr)
         return 2
     if args.setup_probe is not None:
-        return run_setup_probe(args)
+        return run_setup_probe(args, harness.FsyncClock().install())
     spec = harness.load_spec()
     problems = harness.check_metric_table(spec)
     if problems:
@@ -472,9 +495,14 @@ def main(argv=None) -> int:
     try:
         if args.workload == "fleet-http":
             run = traced_fleet if args.trace else untraced_fleet
+            values, meta = run(args, workdir, outcome, table)
         else:
             run = traced_in_process if args.trace else untraced_in_process
-        values, meta = run(args, workdir, outcome, table)
+            fsync = harness.FsyncClock().install()
+            try:
+                values, meta = run(args, workdir, outcome, table, fsync)
+            finally:
+                fsync.uninstall()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -5,7 +5,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import random
 import sys
 import threading
@@ -73,6 +75,47 @@ def test_highest_percentile_reports_the_level_used():
     q, _ = harness.highest_percentile(range(100))
     assert q == 90.0
     assert harness.highest_percentile(range(5)) is None
+
+
+# -- fsync wait --------------------------------------------------------------
+
+
+def test_fsync_clock_counts_calls_and_restores_os_fsync(tmp_path):
+    real = os.fsync
+    clock = harness.FsyncClock().install()
+    try:
+        assert os.fsync is not real
+        with open(tmp_path / "f", "wb") as f:
+            f.write(b"x")
+            f.flush()
+            os.fsync(f.fileno())
+            os.fsync(f.fileno())
+        with pytest.raises(ValueError):
+            os.fsync(-1)
+    finally:
+        clock.uninstall()
+    assert os.fsync is real
+    calls, seconds = clock.read()
+    assert calls == 3 and seconds > 0.0
+
+
+# -- host speed --------------------------------------------------------------
+
+
+def test_host_speed_scales_to_the_reference_and_keeps_the_gc_state():
+    ref = harness.REFERENCE_S
+    assert harness.HostSpeed.scale([ref, ref]) == 1.0
+    assert harness.HostSpeed.scale([ref, 3 * ref]) == 0.5
+    speed = harness.HostSpeed()
+    gc.disable()
+    try:
+        assert speed.sample() > 0.0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    speed.sample()
+    assert gc.isenabled()
+    assert len(speed.samples) == 2
 
 
 # -- self time ---------------------------------------------------------------

@@ -16,6 +16,11 @@ runs once:
 
 Program calls go through module attributes (``batch.run_many``), never
 names imported into this file, so the tracer's wrappers see them.
+Passes are timed net of the time the program blocks in ``os.fsync``
+(see :class:`harness.FsyncClock`); the wait and the number of calls are
+kept beside each pass, and so is the factor that takes its time to the
+reference host speed, from :class:`harness.HostSpeed` samples taken
+just before and just after it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from harness import Outcome
+from harness import FsyncClock, HostSpeed, Outcome
 
 TUNERS = ("cd", "cs", "gss", "nm")
 SCENARIO_NAMES = ("anl-uc", "anl-tacc")
@@ -57,7 +62,40 @@ class PassResult:
     wall_s: float
     runs: int
     epochs: int
+    fsyncs: int = 0
+    fsync_s: float = 0.0
+    #: Factor from this pass's times to the reference host speed.
+    scale: float = 1.0
     extra: dict = field(default_factory=dict)
+
+    @classmethod
+    def between(cls, start: Mark, end: Mark, runs: int, epochs: int,
+                host: tuple[float, float], extra: dict | None = None
+                ) -> PassResult:
+        """The pass from ``start`` to ``end``, with the host-speed
+        samples taken just before and just after it."""
+        return cls(end.t - start.t, runs, epochs, end.fsyncs - start.fsyncs,
+                   end.fsync_s - start.fsync_s, HostSpeed.scale(host),
+                   extra or {})
+
+    @property
+    def net_s(self) -> float:
+        """Wall time less the time blocked in ``os.fsync``."""
+        return self.wall_s - self.fsync_s
+
+    @property
+    def ref_s(self) -> float:
+        """:attr:`net_s` at the reference host speed."""
+        return self.net_s * self.scale
+
+
+@dataclass(frozen=True)
+class Mark:
+    """A point in a pass: clock time and fsync tallies so far."""
+
+    t: float
+    fsyncs: int
+    fsync_s: float
 
 
 def _trace_digest(trace) -> str:
@@ -81,10 +119,16 @@ class Workload:
     #: Whether set-up probe processes also time a first (cold) pass.
     cold_pass_probed = True
 
-    def __init__(self, seed: int, workdir: Path) -> None:
+    def __init__(self, seed: int, workdir: Path, fsync: FsyncClock,
+                 speed: HostSpeed) -> None:
         self.seed = seed
         self.workdir = workdir
+        self.fsync = fsync
+        self.speed = speed
         self.rng = np.random.default_rng(seed)
+
+    def mark(self) -> Mark:
+        return Mark(time.perf_counter(), *self.fsync.read())
 
     def setup(self) -> dict:
         """Import the program, generate inputs; returns their summary."""
@@ -182,18 +226,20 @@ class Sweep(Workload):
         from repro.experiments import batch
 
         gc.collect()
+        before = self.speed.sample()
         with region():
-            t0 = time.perf_counter()
+            start = self.mark()
             traces = batch.run_many(self.specs, jobs=1, batch=BATCH,
                                     cache=False)
-            wall = time.perf_counter() - t0
+            end = self.mark()
+        host = (before, self.speed.sample())
         epochs = sum(len(t.epochs) for t in traces)
         if not self.checked:
             self.checked = {i: _trace_digest(traces[i])
                             for i in self.check_idx}
         n = len(traces)
         del traces
-        return PassResult(wall, n, epochs)
+        return PassResult.between(start, end, n, epochs, host)
 
     def check(self, outcome: Outcome) -> None:
         from repro.experiments import runner
@@ -256,16 +302,18 @@ class Campaign(Workload):
         root = self.workdir / f"cache-{index}"
         shutil.rmtree(root, ignore_errors=True)
         gc.collect()
+        before = self.speed.sample()
         with region():
-            t0 = time.perf_counter()
+            m0 = self.mark()
             cold_store = RunCache(root)
             cold = campaign.run_campaign(self.scale, batch=BATCH,
                                          cache=cold_store)
-            t1 = time.perf_counter()
+            m1 = self.mark()
             warm_store = RunCache(root)
             warm = campaign.run_campaign(self.scale, batch=BATCH,
                                          cache=warm_store)
-            t2 = time.perf_counter()
+            m2 = self.mark()
+        host = (before, self.speed.sample())
         self.documents.append((cold.document(), warm.document()))
         self.results.append((cold, warm))
         self.stores.append((cold_store, warm_store))
@@ -275,8 +323,13 @@ class Campaign(Workload):
         # Entries are fsynced on write; start the next pass with no dirty
         # pages left by this one.
         os.sync()
-        return PassResult(t2 - t0, 2 * self.runs, 2 * self.epochs, {
-            "cold_s": t1 - t0, "warm_s": t2 - t1,
+        cold_pass = PassResult.between(m0, m1, self.runs, self.epochs, host)
+        warm_pass = PassResult.between(m1, m2, self.runs, self.epochs, host)
+        return PassResult.between(m0, m2, 2 * self.runs, 2 * self.epochs,
+                                  host, {
+            "cold_s": cold_pass.ref_s, "warm_s": warm_pass.ref_s,
+            "cold_wall_s": cold_pass.wall_s, "warm_wall_s": warm_pass.wall_s,
+            "cold_fsyncs": cold_pass.fsyncs, "warm_fsyncs": warm_pass.fsyncs,
             "cold_unit_s": dict(cold.unit_seconds),
             "warm_unit_s": dict(warm.unit_seconds),
             "warm_hit_rate": warm.cache_hit_rate,
@@ -401,8 +454,9 @@ class Observed(Workload):
         base.mkdir(parents=True, exist_ok=True)
         done = []
         gc.collect()
+        before = self.speed.sample()
         with region():
-            t0 = time.perf_counter()
+            start = self.mark()
             for i, cfg in enumerate(inputs):
                 jpath = base / f"run-{i}.journal"
                 epath = base / f"run-{i}.events"
@@ -412,7 +466,8 @@ class Observed(Workload):
                     jpath, duration_s=DURATION_S, obs=obs, **cfg)
                 log.close()
                 done.append((cfg, trace, jpath, epath, obs, log))
-            wall = time.perf_counter() - t0
+            end = self.mark()
+        host = (before, self.speed.sample())
         epochs = 0
         for cfg, trace, jpath, epath, obs, log in done:
             faulted = sum(1 for e in trace.epochs if e.faulted)
@@ -432,7 +487,7 @@ class Observed(Workload):
         # its fsyncs do not pay for an earlier pass's writeback.
         shutil.rmtree(base)
         os.sync()
-        return PassResult(wall, len(done), epochs)
+        return PassResult.between(start, end, len(done), epochs, host)
 
     def check(self, outcome: Outcome) -> None:
         from repro.core.registry import make_tuner
