@@ -56,7 +56,6 @@ __all__ = [
     "DEFAULT_FALLBACK_WARN",
     "ENV_BATCH",
     "ENV_BATCH_WARN",
-    "ENV_DISPATCH",
     "BatchOccupancy",
     "SingleRunSpec",
     "batching",
@@ -65,7 +64,6 @@ __all__ = [
     "fallback_reasons",
     "occupancy",
     "resolve_batch",
-    "resolve_dispatch",
     "resolve_fallback_warn",
     "run_batch",
     "run_many",
@@ -73,7 +71,6 @@ __all__ = [
 
 ENV_BATCH = "REPRO_BATCH"
 ENV_BATCH_WARN = "REPRO_BATCH_WARN"
-ENV_DISPATCH = "REPRO_DISPATCH"
 
 #: Campaign warning threshold: warn when more than this fraction of
 #: simulated runs fell off the batch path.
@@ -136,30 +133,6 @@ def resolve_fallback_warn(value: float | None = None) -> float:
     if value < 0.0:
         raise ValueError("batch fallback warn threshold must be >= 0")
     return value
-
-
-def resolve_dispatch(dispatch: bool | None = None) -> bool:
-    """Normalize the population-dispatch knob (default: on).
-
-    ``None`` consults the ``REPRO_DISPATCH`` environment variable —
-    unset or empty means on; ``0``/``off``/``false``/``no`` disable it
-    (every lane keeps the scalar per-epoch ladder, the pre-population
-    baseline the dispatch bench compares against); ``1``/``on``/
-    ``true``/``yes`` force it on.  Results are bit-identical either
-    way — the knob trades dispatch throughput only.
-    """
-    if dispatch is not None:
-        return bool(dispatch)
-    raw = os.environ.get(ENV_DISPATCH, "").strip().lower()
-    if not raw:
-        return True
-    if raw in ("0", "off", "false", "no"):
-        return False
-    if raw in ("1", "on", "true", "yes"):
-        return True
-    raise ValueError(
-        f"unrecognized {ENV_DISPATCH}={raw!r}; expected on/off"
-    )
 
 
 @contextlib.contextmanager
@@ -321,10 +294,9 @@ def _harvest_engine(engine: BatchEngine) -> None:
     the per-process counters."""
     _phase_s.update(engine.phase_s)
     d = engine.dispatcher
-    if d is not None:
-        _dispatch_reasons.update(d.fallback_reasons)
-        _dispatch_lanes["population"] += d.population_lanes
-        _dispatch_lanes["ladder"] += d.ladder_lanes
+    _dispatch_reasons.update(d.fallback_reasons)
+    _dispatch_lanes["population"] += d.population_lanes
+    _dispatch_lanes["ladder"] += d.ladder_lanes
 
 
 def _spec_key(spec: SingleRunSpec, schedule: LoadSchedule,
@@ -368,8 +340,6 @@ def run_batch(
     batch: int | None = None,
     cache: CacheSpec = None,
     obs: "Instrumentation | None" = None,
-    dispatch: bool | None = None,
-    batched_close: bool = True,
 ) -> list[Trace]:
     """Run every spec; returns one trace per spec, in spec order.
 
@@ -391,10 +361,7 @@ def run_batch(
     every simulated spec onto the scalar path (live instrumentation is
     outside the batch engine's contract) with events emitted live, and
     cache hits replay their event stream exactly as ``run_single``
-    does.  ``dispatch`` gates population dispatch inside the batch
-    engine (:func:`resolve_dispatch`; default on, bit-identical off);
-    ``batched_close=False`` likewise restores the per-lane scalar
-    window boundary (the dispatch micro-bench's baseline knob).
+    does.
     """
     global _counts
     specs = list(specs)
@@ -459,15 +426,12 @@ def run_batch(
         key = (id(spec.scenario), spec.tune_np, spec.fixed_np)
         return groups.setdefault(key, len(groups))
 
-    dispatch_on = resolve_dispatch(dispatch)
     nchunks = 0
     for lo in range(0, len(lanes), width):
         chunk = lanes[lo:lo + width]
         engine = BatchEngine(
             [engines[i] for i in chunk],
             alloc_groups=[group_of(specs[i]) for i in chunk],
-            population_dispatch=dispatch_on,
-            batched_close=batched_close,
         )
         for i, traces in zip(chunk, engine.run()):
             finish(i, traces)

@@ -10,8 +10,7 @@ circuit-breaker transitions.
 Campaign builders cover the usual experiment shapes:
 
 * :meth:`FaultSchedule.bernoulli` — independent per-epoch faults at a
-  given rate (the seeded generalization of the legacy
-  :class:`repro.gridftp.globus.FaultModel` coin flip);
+  given rate, pre-drawn from a seed;
 * :meth:`FaultSchedule.bursts` — correlated failure bursts (an unstable
   period of several consecutive bad epochs), the regime circuit breakers
   exist for;

@@ -8,14 +8,14 @@ Emulates the transfer tool the paper drives:
   ``nc`` single-core processes with ``np`` TCP streams each, and the
   restart-cost model behind the paper's observed-vs-best-case gap.
 * :mod:`repro.gridftp.globus` — Globus transfer service policy (default
-  parameters, fault injection, retries).
+  parameters).
 * :mod:`repro.gridftp.diskio` — extension: disk-to-disk transfers over a
   heterogeneous file-size mix with pipelining (paper future work 1).
 """
 
 from repro.gridftp.transfer import TransferSpec, TransferState
 from repro.gridftp.client import ClientModel, RestartModel
-from repro.gridftp.globus import GlobusPolicy, FaultModel
+from repro.gridftp.globus import GlobusPolicy
 from repro.gridftp.diskio import DiskSpec, FileSet, disk_rate_cap_mbps
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "ClientModel",
     "RestartModel",
     "GlobusPolicy",
-    "FaultModel",
     "DiskSpec",
     "FileSet",
     "disk_rate_cap_mbps",

@@ -2,26 +2,16 @@
 
 Globus transfer (the hosted service, [2] in the paper) "selects transfer
 protocol parameters; monitors and retries transfers when there are faults".
-This module provides the pieces the experiments use:
-
-* :class:`GlobusPolicy` — the default parameter choice; for large files
-  concurrency 2 and parallelism 8 (the paper's ``default`` baseline).
-* :class:`FaultModel` — per-epoch fault injection with bounded retries,
-  used by the failure-injection tests and the robustness example.
+:class:`GlobusPolicy` is the default parameter choice; for large files
+concurrency 2 and parallelism 8 (the paper's ``default`` baseline).  Fault
+injection and retries live in :mod:`repro.faults`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.units import MB
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.schedule import FaultSchedule
 
 
 @dataclass(frozen=True)
@@ -51,59 +41,3 @@ class GlobusPolicy:
         if mean_file_bytes >= self.large_file_threshold_bytes:
             return (self.large_nc, self.large_np)
         return (self.small_nc, self.small_np)
-
-
-@dataclass(frozen=True)
-class FaultModel:
-    """Random transfer faults with a retry budget.
-
-    .. deprecated::
-        Superseded by :mod:`repro.faults` — deterministic fault
-        *schedules* plus an explicit :class:`~repro.faults.RetryPolicy`
-        and :class:`~repro.faults.CircuitBreaker`.  This per-epoch coin
-        flip is kept as a thin back-compat wrapper; use
-        :meth:`as_schedule` to convert an existing configuration.
-
-    A fault aborts the tool mid-epoch; the service notices and relaunches
-    it (paying a restart), up to ``max_retries`` times per epoch before the
-    session is declared failed.  ``fault_prob_per_epoch`` is a
-    probability on the closed interval [0, 1]: 0 never faults, 1 faults
-    every epoch.
-    """
-
-    fault_prob_per_epoch: float = 0.0
-    max_retries: int = 3
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.fault_prob_per_epoch <= 1:
-            raise ValueError(
-                "fault_prob_per_epoch is a probability and must lie in "
-                f"the closed interval [0, 1]; got {self.fault_prob_per_epoch!r}"
-            )
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.fault_prob_per_epoch > 0:
-            warnings.warn(
-                "FaultModel is deprecated; use repro.faults.FaultSchedule "
-                "(e.g. FaultModel.as_schedule) with a RetryPolicy instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-
-    def draw_fault(self, rng: np.random.Generator) -> bool:
-        """True if a fault strikes this epoch."""
-        if self.fault_prob_per_epoch == 0.0:
-            return False
-        return bool(rng.random() < self.fault_prob_per_epoch)
-
-    def as_schedule(self, seed: int, n_epochs: int) -> "FaultSchedule":
-        """The equivalent deterministic campaign: the same Bernoulli coin
-        flip, pre-drawn into a replayable stream-crash schedule."""
-        from repro.faults.schedule import FaultSchedule
-        from repro.faults.events import STREAM_CRASH
-
-        return FaultSchedule.bernoulli(
-            seed, n_epochs,
-            fault_rate=self.fault_prob_per_epoch,
-            kinds=(STREAM_CRASH,),
-        )

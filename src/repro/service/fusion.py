@@ -1,13 +1,16 @@
-"""Cross-shard span fusion: one matrix chain over many shards' lanes.
+"""The batched shard window driver: one matrix chain over many shards.
 
-Each fleet shard owns an independent engine (its own RNG streams, its
-own clock), so shards never couple through state — but when several
-shards advance through the same control-epoch window, their vectorized
-spans run the *same arithmetic* on disjoint row sets.  The span chain
-(:func:`repro.sim.batch.shard._span_chain`) is elementwise plus
-row-local ``axis=1`` folds: stacking rows from different shards into one
-call and splitting the outputs back changes no row's result.  The fused
-driver exploits exactly that:
+:func:`advance_fused` advances every batched shard window — a solo
+shard's (:meth:`repro.service.shard.FleetShard.step_epoch`) and a fused
+round over several shards (:meth:`repro.service.fleet.FleetService.
+pump`) alike.  Each fleet shard owns an independent engine (its own RNG
+streams, its own clock), so shards never couple through state — but
+when several shards advance through the same control-epoch window,
+their vectorized spans run the *same arithmetic* on disjoint row sets.
+The span chain (:func:`repro.sim.batch.shard._span_chain`) is
+elementwise plus row-local ``axis=1`` folds: stacking rows from
+different shards into one call and splitting the outputs back changes
+no row's result.  The driver exploits exactly that:
 
 * **lockstep spans** — each iteration takes the global minimum span
   length across the participating shards, collects every shard's
@@ -15,24 +18,24 @@ driver exploits exactly that:
   per-shard jitter draws from that shard's own stream), stacks the
   rows, runs ONE chain, and commits each shard's slice back.  Splitting
   one shard's natural span at another shard's boundary is exact: the
-  fold memos compose (``fold(fold(x, a), b) == fold(x, a + b)`` — both
+  counter folds compose (``add(add(x, a), b) == add(x, a + b)`` — both
   are the same sequential ``+= dt``), the step-major jitter draw splits
   at step boundaries into the identical value sequence, and the epoch
   accumulators carry their partial folds through the session state
   between sub-spans;
-* **fused dispatch** — each shard's boundary closes produce a pending
-  dispatch round; the per-round sized normal pre-draws still come from
-  each shard's own streams in the serial order, but the ``exp`` runs
-  once over every shard's draws concatenated (elementwise ``np.exp``
-  equals ``lognormal_factor``'s scalar ``np.exp`` per element), then
-  each shard applies its slice through its own ``_dispatch_epoch``.
+* **batched dispatch** — each shard's boundary closes produce a
+  pending dispatch round; the per-round sized normal pre-draws still
+  come from each shard's own streams in the serial order, but the
+  ``exp`` runs once over every shard's draws concatenated (elementwise
+  ``np.exp`` equals ``lognormal_factor``'s scalar ``np.exp`` per
+  element), then each shard applies its slice through its own
+  ``_dispatch_epoch``.
 
-The result is bit-identical — epochs AND steps — to every shard running
-``ShardSpanEngine.advance`` (and therefore ``step_once``) alone, while
-amortizing the numpy call overhead across the whole fleet.  The fleet
-service (:meth:`repro.service.fleet.FleetService.pump`) fuses whichever
-shards are batch-eligible and clock-compatible each round and reports
-the realized fusion widths in ``/v1/status``.
+The result is bit-identical — epochs AND steps — to every shard
+running ``step_once`` alone, while amortizing the numpy call overhead
+across the whole fleet.  The driver times its span/close/dispatch
+phases once; the caller decides whose clock they land on (a solo
+window's shard, or the fleet's ``fusion`` stats for a fused round).
 """
 
 from __future__ import annotations
@@ -51,18 +54,19 @@ _CHAIN_KEYS = ("RS", "Z", "c1", "tau", "tss0", "er0", "eb0")
 
 
 def advance_fused(shards, steps: int) -> dict:
-    """Advance every shard's engine ``steps`` steps in fused lockstep.
+    """Advance every shard's engine ``steps`` steps in lockstep.
 
-    Bit-identical to each shard running ``_span.advance(steps)`` on its
-    own (shards share no state and no RNG streams — only the stacked
-    arithmetic is shared).  Every shard must be span-eligible for the
-    whole window (the caller checks
+    Bit-identical to ``steps`` ``step_once`` calls on each shard's
+    engine, including every epoch close and tuner dispatch landing on
+    its exact tick (shards share no state and no RNG streams — only the
+    stacked arithmetic is shared).  Every shard must be span-eligible
+    for the whole window (the caller checks
     :func:`~repro.sim.batch.eligibility.unbatchable_lane_reason` per
     lane) and all shards must share one step size.
 
-    Returns fusion stats: ``chains`` (stacked chain calls), ``rows``
+    Returns window stats: ``chains`` (stacked chain calls), ``rows``
     (lane-spans pushed through them), ``widths`` (histogram of rows per
-    chain), and the fused driver's wall seconds per phase.
+    chain), and the driver's wall seconds per phase.
     """
     spans = [sh._span for sh in shards]
     dts = {sp.dt for sp in spans}
@@ -82,7 +86,8 @@ def advance_fused(shards, steps: int) -> dict:
                 continue
             active = [s for s in sp.engine.sessions if not s.done]
             if not active:
-                # Pure clock ticks, exactly as the per-shard advance.
+                # Pure clock ticks: the scalar loop moves nothing and
+                # closes nothing when every session is done.
                 sp.engine.clock.tick += rem[i]
                 rem[i] = 0
                 continue
@@ -94,7 +99,7 @@ def advance_fused(shards, steps: int) -> dict:
                 for i, sp, active in work)
         if k < 1:
             raise RuntimeError(
-                "fused span prediction collapsed to zero steps"
+                "shard span prediction collapsed to zero steps"
             )
         parts = []
         for i, sp, active in work:
@@ -133,7 +138,9 @@ def advance_fused(shards, steps: int) -> dict:
         phase_s["span"] += t1 - t0
         _close_fused([sp for _, sp, _ in work], phase_s)
     for sp in spans:
-        # Same scalar fast-path cache invalidation as advance().
+        # The batched window bypassed the scalar fast path's allocation
+        # cache; invalidate it so an interleaved scalar step (the fleet
+        # drain path) recomputes instead of trusting a stale entry.
         sp.engine._alloc_key = None
         sp.engine._alloc_val = None
     return stats

@@ -39,6 +39,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.gridftp.transfer import TransferSpec
 from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.service.backpressure import OpGuard
+from repro.service.fusion import advance_fused
 from repro.service.supervisor import Supervisor
 from repro.service.tenant import COMPLETED, FAILED, RUNNING, Tenant
 from repro.sim.batch.eligibility import unbatchable_lane_reason
@@ -90,6 +91,9 @@ class FleetShard:
         #: serial shard is the reference the equivalence tests pin).
         self.batch = batch
         self._span = ShardSpanEngine(self.engine) if batch else None
+        #: Wall seconds per phase of this shard's solo batched windows
+        #: (fused rounds are timed in the fleet's ``fusion`` stats).
+        self._phase_s = {"span": 0.0, "close": 0.0, "dispatch": 0.0}
         self._batched = 0
         self._fallback = 0
         self._chunks = 0
@@ -158,18 +162,22 @@ class FleetShard:
         tenants that reached a terminal state this round.
 
         When batching is on and every active lane is span-eligible, the
-        whole window runs on the :class:`ShardSpanEngine` (bit-identical
-        epochs AND steps); any blocked lane — the lanes are coupled
-        through the shared allocation, so one active fault schedule
-        taints the whole window — routes the window to the scalar loop
-        and tallies why.  Eligibility is re-checked every window, so a
-        shard whose blackout passes rebins back to batched spans with
-        no state handoff (both paths drive the same engine)."""
+        whole window runs on :class:`ShardSpanEngine` spans through the
+        window driver :func:`~repro.service.fusion.advance_fused`
+        (bit-identical epochs AND steps); any blocked lane — the lanes
+        are coupled through the shared allocation, so one active fault
+        schedule taints the whole window — routes the window to the
+        scalar loop and tallies why.  Eligibility is re-checked every
+        window, so a shard whose blackout passes rebins back to batched
+        spans with no state handoff (both paths drive the same
+        engine)."""
         if self.active:
             steps = int(round(self.epoch_s / self.dt))
             blockers = self._window_blockers() if self.batch else None
             if self.batch and not blockers:
-                self._span.advance(steps)
+                stats = advance_fused([self], steps)
+                for phase, secs in stats["phase_s"].items():
+                    self._phase_s[phase] += secs
                 self._batched += self.active
                 self._chunks += 1
                 path = "batched"
@@ -250,11 +258,12 @@ class FleetShard:
         return self._fused
 
     def phase_seconds(self) -> dict[str, float]:
-        """Wall seconds per batched-window phase (span advance, epoch
-        close, tuner dispatch) since shard start."""
+        """Wall seconds per phase (span advance, epoch close, tuner
+        dispatch) of this shard's solo batched windows since shard
+        start; fused windows are timed in the fleet's fusion stats."""
         if self._span is None:
             return {}
-        return dict(self._span.phase_s)
+        return dict(self._phase_s)
 
     def dispatch_groups(self) -> dict[str, int]:
         """Active tenants per homogeneous dispatch group ("ladder" =

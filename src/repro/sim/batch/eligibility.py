@@ -47,8 +47,6 @@ def unbatchable_reason(engine: "Engine") -> str | None:
         return "session has no tuner driver"
     if s.fault_schedule is not None:
         return "fault schedule"
-    if s.fault_model is not None:
-        return "legacy fault model"
     if not math.isinf(s.spec.total_bytes):
         return "finite-bytes transfer"
     if s.spec.max_duration_s is None:
@@ -76,8 +74,6 @@ def unbatchable_lane_reason(session: "TransferSession") -> str | None:
     sched = session.fault_schedule
     if sched is not None and sched.last_epoch >= session.epoch_index:
         return "fault schedule"
-    if session.fault_model is not None:
-        return "legacy fault model"
     if session.retry_state is not None:
         return "retry policy"
     if session.breaker is not None:
@@ -121,7 +117,6 @@ def dispatch_fallback_reason(
         return DISPATCH_INSTRUMENTED
     if (session.retry_state is not None
             or session.breaker is not None
-            or session.fault_model is not None
             or session.fault_schedule is not None):
         return DISPATCH_RECOVERY
     driver = session.driver

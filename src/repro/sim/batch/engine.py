@@ -12,29 +12,32 @@ How
 The step loop is replaced by a *span* loop.  A span is the longest run
 of ticks on which no lane hits a change point — an epoch closure, a
 transfer-duration completion, or a load-schedule transition.  Span
-length is pure step arithmetic (the same float folds the scalar loop
-applies, so boundaries land on the same tick), which is exactly the
-prediction trick that already protects the scalar fast path's jitter
-batching.  Within a span, every per-lane quantity is a row in a
-``(lanes, span)`` matrix:
+length is pure step arithmetic: the scalar loop's own float folds,
+replayed by :class:`~repro.sim.clock.SpanFolds` (the same helper the
+shard engine and the scalar fast path's jitter prediction use), so
+boundaries land on the same tick.  Within a span, every per-lane
+quantity is a row in a ``(lanes, span)`` matrix:
 
-* restart bookkeeping runs as a per-lane prefix loop (dead steps move
-  nothing), yielding each lane's ``run_s`` row;
+* each lane's restart window becomes a dead prefix of its ``run_s``
+  row (dead steps move nothing), so a lane's restart can end inside a
+  span — lanes are independent, unlike a shard's;
 * step-jitter draws come from one sized ``Generator.normal`` call per
   lane (numpy's sized draws produce the identical value sequence and
   end state as n scalar calls — the RNG-order contract);
-* the slow-start ramp, rate, and bytes-moved arithmetic use the same
-  operation order as the scalar loop (``math.exp`` per element for the
-  ramp, since ``np.exp`` differs from ``math.exp`` in the last ulp);
-* epoch accumulators advance by ``np.add.accumulate`` — an exact
-  sequential left fold, unlike ``np.sum``'s pairwise reduction.
+* the slow-start ramp, rate, bytes-moved and epoch-accumulator
+  arithmetic is the one matrix chain both batch paths share,
+  :func:`~repro.sim.batch.shard._span_chain`.
 
-At span ends, epoch closure and tuner dispatch reuse the scalar
-engine's own ``close_epoch``/``_dispatch_epoch`` verbatim, so the
-per-epoch RNG draw order (noise, restart jitter, backoff) and the whole
-retry/breaker ladder are shared code, not a re-implementation.  Each
-lane draws from its own seeded :class:`~repro.sim.rng.RngStreams`, so
-only within-lane order matters and lanes are independent.
+At span ends, epochs close through
+:func:`~repro.sim.batch.closing.close_epochs` (the scalar close as
+sized numpy passes) and dispatch through a
+:class:`~repro.sim.batch.dispatch.PopulationDispatcher`: cd/cs/gss
+lanes advance as tuner populations that replay the ladder's clean path
+draw for draw, and every other lane takes the scalar engine's own
+``_dispatch_epoch``, so the retry/breaker ladder is shared code, not a
+re-implementation.  Each lane draws from its own seeded
+:class:`~repro.sim.rng.RngStreams`, so only within-lane order matters
+and lanes are independent.
 
 Allocation (CPU shares → flow groups → max-min fair share) only changes
 at change points; the batch engine memoizes it across lanes *and*
@@ -49,7 +52,6 @@ per-step dataclasses, not simulating.
 
 from __future__ import annotations
 
-import math
 from itertools import chain, repeat
 from time import perf_counter
 from typing import Sequence
@@ -59,9 +61,10 @@ import numpy as np
 from repro.sim.batch.closing import close_epochs
 from repro.sim.batch.dispatch import PopulationDispatcher, take_std_normals
 from repro.sim.batch.eligibility import unbatchable_reason
+from repro.sim.batch.shard import _span_chain
+from repro.sim.clock import SpanFolds
 from repro.sim.engine import Engine
 from repro.sim.trace import StepRecord, Trace
-from repro.units import MB
 
 
 class BatchEngine:
@@ -81,22 +84,6 @@ class BatchEngine:
         equivalent substrates (same topology/host/client/config
         semantics — e.g. the same scenario and param mapping).  Default
         gives every lane its own group (always correct, fewer hits).
-    population_dispatch:
-        When True (default) window-end dispatches route through
-        :class:`~repro.sim.batch.dispatch.PopulationDispatcher`:
-        homogeneous tuner populations (cd/cs/gss) advance as one array
-        step per window, everything else keeps the scalar ladder with
-        per-lane ``dispatch:*`` fallback reasons.  False forces every
-        lane onto the scalar ladder (the pre-population behavior; the
-        dispatch micro-bench uses it as its baseline).
-    batched_close:
-        When True (default) window boundaries close through the
-        numpy :func:`~repro.sim.batch.closing.close_epochs` helper and
-        lockstep batches take the homogeneous boundary shortcuts.
-        False restores the per-lane scalar boundary (one
-        ``close_epoch`` call per lane, per-lane close/done loops) —
-        the pre-batched-close behavior the dispatch micro-bench uses,
-        with ``population_dispatch=False``, as its baseline.
     """
 
     def __init__(
@@ -104,8 +91,6 @@ class BatchEngine:
         engines: Sequence[Engine],
         *,
         alloc_groups: Sequence[int] | None = None,
-        population_dispatch: bool = True,
-        batched_close: bool = True,
     ) -> None:
         engines = list(engines)
         if not engines:
@@ -141,20 +126,12 @@ class BatchEngine:
         # and the rate is only consumed on steps with run_s > 0, where
         # the scalar path sees the live allocation too.
         self._alloc_memo: dict = {}
-        # Span-length folds, memoized: these replay the scalar loop's
-        # exact accumulate-and-compare float arithmetic so change
-        # points land on the same tick.
-        self._close_memo: dict[tuple[float, float], int] = {}
-        self._done_memo: dict[float, int] = {}
-        # (start, k) -> start folded forward by k sequential += dt —
-        # replaces a full-matrix accumulate for the dt-paced
-        # accumulators (epoch_elapsed / elapsed_s).
-        self._fold_memo: dict[tuple[float, int], float] = {}
+        self.folds = SpanFolds(self.dt)
         # (restart prefix length, span length) -> shared flag row.
         self._flag_cache: dict[tuple[int, int], list[bool]] = {}
         self._homog = False
         self._change_ticks = [
-            self._compute_change_ticks(e.schedule) for e in engines
+            self.folds.change_ticks(e.schedule) for e in engines
         ]
         # Deferred columnar step buffers, one list of row arrays per
         # lane; records are materialized once at the end of the run.
@@ -163,10 +140,7 @@ class BatchEngine:
         self._col_rate: list[list] = [[] for _ in range(n)]
         self._col_mv: list[list] = [[] for _ in range(n)]
         self._col_flag: list[list] = [[] for _ in range(n)]
-        self.dispatcher = (
-            PopulationDispatcher() if population_dispatch else None
-        )
-        self.batched_close = batched_close
+        self.dispatcher = PopulationDispatcher()
         #: Wall seconds per phase (satellite of the dispatch work):
         #: vectorized span advance vs batched close vs tuner dispatch.
         self.phase_s = {"span": 0.0, "close": 0.0, "dispatch": 0.0}
@@ -195,23 +169,20 @@ class BatchEngine:
             )
             for i, (e, s) in enumerate(zip(self.engines, self._sessions))
         ]
+        folds = self.folds
         done_tick = [
-            self._steps_to_done(s.spec.max_duration_s)
-            for s in self._sessions
+            folds.done(0.0, s.spec.max_duration_s) for s in self._sessions
         ]
         sessions = self._sessions
         engines = self.engines
         change_ticks = self._change_ticks
-        close_memo = self._close_memo
-        steps_to_close = self._steps_to_close
         dt = self.dt
         # Lanes with one epoch grid, one duration, and static loads stay
         # in lockstep for the whole run (their dt-paced counters get
         # identical folds, and nothing batchable ends a lane early), so
         # one lane's span prediction serves the batch.
         homog = self._homog = (
-            self.batched_close
-            and len(set(done_tick)) == 1
+            len(set(done_tick)) == 1
             and len({(s.spec.epoch_s, s.spec.epoch_offset_s)
                      for s in sessions}) == 1
             and not any(change_ticks)
@@ -224,14 +195,7 @@ class BatchEngine:
             k = None
             for i in (active[:1] if homog else active):
                 s = sessions[i]
-                spec = s.spec
-                target = spec.epoch_s
-                if s.epoch_index == 0:
-                    target += spec.epoch_offset_s
-                key = (s.epoch_elapsed, target)
-                n = close_memo.get(key)
-                if n is None:
-                    n = steps_to_close(s.epoch_elapsed, target)
+                n = folds.close(s.epoch_elapsed, s.epoch_target_s())
                 n_done = done_tick[i] - tick
                 if n_done < n:
                     n = n_done
@@ -255,34 +219,20 @@ class BatchEngine:
                 # Lockstep lanes share every dt-paced fold: they close
                 # (and finish) together, so one lane answers for all.
                 s = sessions[active[0]]
-                target = s.spec.epoch_s
-                if s.epoch_index == 0:
-                    target += s.spec.epoch_offset_s
                 closers = (
                     list(active)
-                    if s.epoch_elapsed >= target - 1e-9 or s.done
+                    if s.epoch_elapsed >= s.epoch_target_s() - 1e-9
+                    or s.done
                     else []
                 )
             else:
                 closers = []
                 for i in active:
                     s = sessions[i]
-                    spec = s.spec
-                    target = spec.epoch_s
-                    if s.epoch_index == 0:
-                        target += spec.epoch_offset_s
-                    if s.epoch_elapsed >= target - 1e-9 or s.done:
+                    if s.epoch_elapsed >= s.epoch_target_s() - 1e-9 or s.done:
                         closers.append(i)
             if closers:
-                if self.batched_close:
-                    recs = close_epochs(
-                        [sessions[i] for i in closers], now)
-                else:
-                    recs = [
-                        sessions[i].close_epoch(
-                            start_time=now - sessions[i].epoch_elapsed)
-                        for i in closers
-                    ]
+                recs = close_epochs([sessions[i] for i in closers], now)
                 t2 = perf_counter()
                 if homog:
                     # Lockstep lanes finish together: lane 0's done
@@ -297,11 +247,7 @@ class BatchEngine:
                         for i, rec in zip(closers, recs)
                         if not sessions[i].done
                     ]
-                if self.dispatcher is not None:
-                    self.dispatcher.dispatch(items)
-                else:
-                    for i, e, s, rec in items:
-                        e._dispatch_epoch(s, rec)
+                self.dispatcher.dispatch(items)
                 t3 = perf_counter()
                 self.phase_s["close"] += t2 - t1
                 self.phase_s["dispatch"] += t3 - t2
@@ -313,51 +259,6 @@ class BatchEngine:
                 active = [i for i in active if not sessions[i].done]
         self._materialize()
         return [{s.name: s.trace} for s in self._sessions]
-
-    # -- span prediction -------------------------------------------------
-
-    def _steps_to_close(self, ee0: float, target: float) -> int:
-        key = (ee0, target)
-        n = self._close_memo.get(key)
-        if n is None:
-            dt = self.dt
-            n = 0
-            v = ee0
-            while v < target - 1e-9:
-                v += dt
-                n += 1
-            self._close_memo[key] = n
-        return n
-
-    def _steps_to_done(self, limit: float) -> int:
-        """Total tick count at which a lane started at tick 0 is done
-        (``elapsed_s`` accumulates dt on every step, so a lane's fold
-        position equals the global tick)."""
-        n = self._done_memo.get(limit)
-        if n is None:
-            dt = self.dt
-            n = 0
-            v = 0.0
-            while v < limit:
-                v += dt
-                n += 1
-            self._done_memo[limit] = n
-        return n
-
-    def _compute_change_ticks(self, schedule) -> list[int]:
-        """Global ticks at which a lane's load changes, matching
-        ``schedule.at(tick * dt)``'s bisect semantics (the new load
-        applies on the first tick with ``tick * dt >= change_time``)."""
-        dt = self.dt
-        ticks = []
-        for c in schedule.change_times:
-            m = max(1, math.ceil(c / dt))
-            while m * dt < c:
-                m += 1
-            while m > 1 and (m - 1) * dt >= c:
-                m -= 1
-            ticks.append(m)
-        return ticks
 
     # -- span advance ----------------------------------------------------
 
@@ -375,26 +276,12 @@ class BatchEngine:
             self._alloc_memo[key] = hit
         return hit
 
-    def _fold_dt(self, start: float, k: int) -> float:
-        """``start`` folded forward by ``k`` sequential ``+= dt`` — the
-        scalar loop's exact accumulation for the dt-paced counters."""
-        key = (start, k)
-        v = self._fold_memo.get(key)
-        if v is None:
-            dt = self.dt
-            v = start
-            for _ in range(k):
-                v += dt
-            self._fold_memo[key] = v
-        return v
-
     def _advance_span(self, active: list[int], tick0: int, k: int) -> None:
         dt = self.dt
         lane = self._lane
         groups = self._groups
         alloc_get = self._alloc_memo.get
-        fold_get = self._fold_memo.get
-        fold_dt = self._fold_dt
+        folds = self.folds
         L = len(active)
         t0 = tick0 * dt
         t_row = (tick0 + np.arange(k)) * dt
@@ -420,8 +307,8 @@ class BatchEngine:
         hoisted = None
         if self._homog:
             s0 = self._sessions[active[0]]
-            hoisted = (fold_dt(s0.epoch_elapsed, k),
-                       fold_dt(s0.state.elapsed_s, k))
+            hoisted = (folds.add(s0.epoch_elapsed, k),
+                       folds.add(s0.state.elapsed_s, k))
         # Restart-prefix flag rows are tiny and read-only downstream
         # (materialize just iterates them) — share one list per shape.
         flag_cache = self._flag_cache
@@ -446,15 +333,14 @@ class BatchEngine:
             if hoisted is not None:
                 s.epoch_elapsed, s.state.elapsed_s = hoisted
             else:
-                v = fold_get((s.epoch_elapsed, k))
-                s.epoch_elapsed = v if v is not None else fold_dt(
-                    s.epoch_elapsed, k)
-                v = fold_get((s.state.elapsed_s, k))
-                s.state.elapsed_s = v if v is not None else fold_dt(
-                    s.state.elapsed_s, k)
+                s.epoch_elapsed = folds.add(s.epoch_elapsed, k)
+                s.state.elapsed_s = folds.add(s.state.elapsed_s, k)
 
-            # Restart prefix: same sequential float decrements as the
-            # scalar loop (run_s = dt - clamp(rr); rr = max(0, rr - dt)).
+            # Restart prefix: dead while restart_remaining >= dt, then
+            # dt - rr on the first live step — SpanFolds' dead and sub
+            # folds fused and capped at the span, inline because a
+            # restart window is a fresh random value every epoch and
+            # memoizing it buys nothing.
             rr = s.restart_remaining
             fm = 0
             while fm < k and rr >= dt:
@@ -521,49 +407,10 @@ class BatchEngine:
                 mask[buf_rows] = True
                 Z = np.where(mask[:, None], scaled, Z)
 
-        # Ramp-clock bounds: B[:, j] is time_since_start entering step j
-        # (dead steps add 0.0 — an exact no-op in the fold).  The chain
-        # below reuses buffers via ``out=`` — every reuse is pure
-        # notation (same operands, same order as the scalar loop);
-        # IEEE division is sign-symmetric, so ``B / -tau == -B / tau``.
-        tau_col = np.asarray(tau_l)[:, None]
-        tss0 = np.asarray(tss0_l)
-        er0 = np.asarray(er0_l)
-        eb0 = np.asarray(eb0_l)
-        B = np.add.accumulate(
-            np.concatenate([tss0[:, None], RS], axis=1), axis=1
+        B, MV, RREC, er, eb = _span_chain(
+            RS, Z, c1, np.asarray(tau_l), np.asarray(tss0_l),
+            np.asarray(er0_l), np.asarray(eb0_l), dt,
         )
-        A = B / np.negative(tau_col)
-        # The scalar ramp uses math.exp, which differs from np.exp in
-        # the last ulp; evaluate per element.
-        E = np.fromiter(
-            map(math.exp, A.ravel().tolist()),
-            dtype=np.float64,
-            count=L * (k + 1),
-        ).reshape(L, k + 1)
-        # Dead steps (run_s == 0) divide by 1.0 instead: the ramp value
-        # there is never used (it is multiplied by run_s == 0.0, which
-        # is exact for any finite rate — but would be NaN-poisoned by a
-        # 0/0).
-        RSx = np.where(RS > 0.0, RS, 1.0)
-        T = np.subtract(E[:, :-1], E[:, 1:])
-        np.divide(tau_col, RSx, out=RSx)
-        np.multiply(RSx, T, out=T)
-        np.subtract(1.0, T, out=T)  # T = RAMP
-        np.exp(Z, out=Z)  # == per-element scalar np.exp (lognormal_factor)
-        np.multiply(c1[:, None], Z, out=Z)
-        np.multiply(Z, T, out=Z)  # Z = RATE = (c1 * J) * RAMP
-        np.multiply(Z, MB, out=T)
-        MV = T * RS  # (RATE * MB) * RS
-        np.divide(MV, MB, out=T)
-        np.divide(T, dt, out=Z)
-        RREC = Z  # (MV / MB) / dt
-
-        # Epoch run-time/bytes accumulators: exact sequential left folds.
-        er = np.add.accumulate(
-            np.concatenate([er0[:, None], RS], axis=1), axis=1)[:, -1]
-        eb = np.add.accumulate(
-            np.concatenate([eb0[:, None], MV], axis=1), axis=1)[:, -1]
 
         frozen = set(frozen_tss)
         # Plain python floats: downstream consumers (close_epoch,

@@ -1,16 +1,17 @@
 """Shared-substrate span engine: one shard's tenant lanes in lockstep.
 
-:class:`ShardSpanEngine` advances a *multi-session* scalar
-:class:`~repro.sim.engine.Engine` — a fleet shard's shared substrate —
-by whole control-epoch windows, vectorizing the per-step arithmetic
-across the session axis ("lanes") while staying bit-identical (epochs
-AND steps) to the same engine driven through ``step_once``.
+:class:`ShardSpanEngine` holds the per-span steps that advance a
+*multi-session* scalar :class:`~repro.sim.engine.Engine` — a fleet
+shard's shared substrate — vectorizing the per-step arithmetic across
+the session axis ("lanes") while staying bit-identical (epochs AND
+steps) to the same engine driven through ``step_once``.  The window
+driver is :func:`repro.service.fusion.advance_fused`: it runs a solo
+shard's window and a fused multi-shard window alike.
 
-This is the fleet-shard sibling of :class:`~repro.sim.batch.engine.
-BatchEngine`, with one structural difference: BatchEngine's lanes are
-independent engines with independent RNG streams, whereas a shard's
-lanes are *coupled* — they contend in one max-min allocation and share
-one ``throughput_noise`` stream.  Coupling changes the span rules:
+BatchEngine's lanes are independent engines with independent RNG
+streams, whereas a shard's lanes are *coupled* — they contend in one
+max-min allocation and share one ``throughput_noise`` stream.
+Coupling changes the span rules:
 
 * a span breaks wherever the allocation can change, which now includes
   any lane's restart window crossing the one-step threshold (a lane
@@ -30,11 +31,11 @@ one ``throughput_noise`` stream.  Coupling changes the span rules:
   Closing every epoch before dispatching any is draw-neutral: closes
   consume no RNG and touch only their own session.
 
-The arithmetic inside a span is BatchEngine's operand-for-operand
-(``math.exp`` per element for the ramp, ``np.add.accumulate`` left
-folds for the epoch accumulators, memoized sequential float folds for
-the dt-paced counters), so the scalar engine remains the single
-bit-exactness reference for both batch paths.
+The arithmetic inside a span is the one matrix chain,
+:func:`_span_chain`, which BatchEngine calls too, and the span
+boundaries come from the one set of counter folds,
+:class:`~repro.sim.clock.SpanFolds`, so the scalar engine remains the
+single bit-exactness reference for both batch paths.
 
 Membership (attach/reap) happens *between* windows in the fleet's pump
 loop, and anything the span solver cannot express — an **active**
@@ -50,142 +51,42 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import repeat
-from time import perf_counter
 
 import numpy as np
 
 from repro.sim.batch.closing import close_epochs
+from repro.sim.clock import SpanFolds
 from repro.sim.engine import Engine
 from repro.sim.trace import StepRecord
 from repro.units import MB
 
 
 class ShardSpanEngine:
-    """Vectorized window stepping for one fleet shard's engine.
+    """Vectorized span steps for one fleet shard's engine.
 
     The caller owns eligibility: every session must satisfy
     :func:`~repro.sim.batch.eligibility.unbatchable_lane_reason` is
     ``None`` for the whole window (the fleet shard checks at each
-    window start and falls back wholesale otherwise).  ``advance`` and
-    ``step_once`` may be interleaved freely — both drive the same
+    window start and falls back wholesale otherwise).  Batched windows
+    and ``step_once`` may be interleaved freely — both drive the same
     engine state and RNG streams in the same order.
     """
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self.dt: float = engine.config.dt
-        # Exact-float fold memos (the scalar loop's accumulate-and-
-        # compare arithmetic, replayed once per distinct start value).
-        self._close_memo: dict[tuple[float, float], int] = {}
-        self._done_memo: dict[tuple[float, float], int] = {}
-        self._fold_memo: dict[tuple[float, int], float] = {}
-        self._sub_memo: dict[tuple[float, int], float] = {}
-        self._dead_memo: dict[float, int] = {}
+        self.folds = SpanFolds(self.dt)
         self._change_ticks: list[int] | None = None
         #: Histogram of realized lane widths: {live lanes -> spans run
         #: at that width}.  The bench reports this distribution.
         self.lane_widths: Counter = Counter()
-        #: Wall seconds per phase: vectorized span advance vs batched
-        #: epoch close vs tuner dispatch.  The fused cross-shard driver
-        #: (repro.service.fusion) accumulates into the same buckets.
-        self.phase_s = {"span": 0.0, "close": 0.0, "dispatch": 0.0}
-
-    # -- span prediction -------------------------------------------------
-
-    def _steps_to_close(self, ee0: float, target: float) -> int:
-        key = (ee0, target)
-        n = self._close_memo.get(key)
-        if n is None:
-            dt = self.dt
-            n = 0
-            v = ee0
-            while v < target - 1e-9:
-                v += dt
-                n += 1
-            self._close_memo[key] = n
-        return n
-
-    def _steps_to_done(self, el0: float, limit: float) -> int:
-        """Steps until ``elapsed_s`` (sequential ``+= dt`` from
-        ``el0``) reaches the duration limit — unlike BatchEngine's
-        global-tick version, lanes admitted mid-run sit at different
-        fold positions, so the start value is part of the key."""
-        key = (el0, limit)
-        n = self._done_memo.get(key)
-        if n is None:
-            dt = self.dt
-            n = 0
-            v = el0
-            while v < limit:
-                v += dt
-                n += 1
-            self._done_memo[key] = n
-        return n
-
-    def _dead_steps(self, rr: float) -> int:
-        """How many whole steps ``restart_remaining`` stays >= dt — the
-        lane's dead prefix, and an allocation change point when it ends
-        (the lane rejoins the live set every other lane contends with).
-        """
-        n = self._dead_memo.get(rr)
-        if n is None:
-            dt = self.dt
-            n = 0
-            v = rr
-            while v >= dt:
-                v -= dt
-                n += 1
-            self._dead_memo[rr] = n
-        return n
-
-    def _fold_dt(self, start: float, k: int) -> float:
-        """``start`` folded forward by ``k`` sequential ``+= dt``."""
-        key = (start, k)
-        v = self._fold_memo.get(key)
-        if v is None:
-            dt = self.dt
-            v = start
-            for _ in range(k):
-                v += dt
-            self._fold_memo[key] = v
-        return v
-
-    def _fold_sub(self, rr: float, k: int) -> float:
-        """``restart_remaining`` after ``k`` scalar decrements
-        (``max(0, rr - dt)`` each step, exactly as the step loop)."""
-        key = (rr, k)
-        v = self._sub_memo.get(key)
-        if v is None:
-            dt = self.dt
-            v = rr
-            for _ in range(k):
-                v = max(0.0, v - dt)
-            self._sub_memo[key] = v
-        return v
-
-    def _compute_change_ticks(self, schedule) -> list[int]:
-        """Global ticks at which the shared load changes, matching
-        ``schedule.at(tick * dt)``'s bisect semantics."""
-        dt = self.dt
-        ticks = []
-        for c in schedule.change_times:
-            m = max(1, math.ceil(c / dt))
-            while m * dt < c:
-                m += 1
-            while m > 1 and (m - 1) * dt >= c:
-                m -= 1
-            ticks.append(m)
-        return ticks
-
-    # -- window advance --------------------------------------------------
 
     def prepare(self) -> None:
         """One-time window setup (idempotent): start the engine and
-        resolve the shared schedule's change ticks.  The fused
-        cross-shard driver calls this before interleaving spans."""
+        resolve the shared schedule's change ticks."""
         self.engine._ensure_started()
         if self._change_ticks is None:
-            self._change_ticks = self._compute_change_ticks(
+            self._change_ticks = self.folds.change_ticks(
                 self.engine.schedule
             )
 
@@ -195,17 +96,18 @@ class ShardSpanEngine:
         crossing — and the shared load stays constant."""
         k = kmax
         dt = self.dt
+        folds = self.folds
         for s in active:
-            m = self._steps_to_close(s.epoch_elapsed, s.epoch_target_s())
+            m = folds.close(s.epoch_elapsed, s.epoch_target_s())
             if m < k:
                 k = m
             limit = s.spec.max_duration_s
             if limit is not None:
-                m = self._steps_to_done(s.state.elapsed_s, limit)
+                m = folds.done(s.state.elapsed_s, limit)
                 if m < k:
                     k = m
             if s.restart_remaining >= dt:
-                m = self._dead_steps(s.restart_remaining)
+                m = folds.dead(s.restart_remaining)
                 if m < k:
                     k = m
         for m in self._change_ticks:
@@ -213,61 +115,13 @@ class ShardSpanEngine:
                 k = m - tick
         return k
 
-    def advance(self, n: int) -> None:
-        """Advance the engine ``n`` steps — bit-identical to ``n``
-        ``step_once`` calls, including every epoch close and tuner
-        dispatch landing on its exact tick."""
-        e = self.engine
-        self.prepare()
-        sessions = e.sessions
-        tick = e.clock.tick
-        end = tick + n
-        phase_s = self.phase_s
-        while tick < end:
-            active = [s for s in sessions if not s.done]
-            if not active:
-                # Pure clock ticks: the scalar loop moves nothing and
-                # closes nothing when every session is done.
-                tick = end
-                break
-            k = self.span_len(active, tick, end - tick)
-            if k < 1:
-                raise RuntimeError(
-                    "shard span prediction collapsed to zero steps"
-                )
-            t0 = perf_counter()
-            self._advance_span(active, tick, k)
-            tick += k
-            e.clock.tick = tick
-            t1 = perf_counter()
-            phase_s["span"] += t1 - t0
-            self.close_boundaries()
-        e.clock.tick = tick
-        # The batched windows bypass the scalar fast path's allocation
-        # cache; invalidate it so an interleaved scalar step (the fleet
-        # drain path) recomputes instead of trusting a stale entry.
-        e._alloc_key = None
-        e._alloc_val = None
-
-    def close_boundaries(self) -> None:
-        """Close every epoch at its boundary (batched, in session order
-        as the scalar loop) and dispatch the survivors.  Closes consume
-        no RNG and touch only their own session, so close-all-then-
-        dispatch-all is draw-neutral."""
-        pending = self.close_pending()
-        if pending:
-            t0 = perf_counter()
-            self._dispatch_round(pending)
-            self.phase_s["dispatch"] += perf_counter() - t0
-
     def close_pending(self) -> list:
         """Close every boundary epoch (batched, in session order) and
         return the ``(session, record)`` pairs still awaiting their
-        tuner dispatch — *without* dispatching them.  The fused
-        cross-shard driver collects each shard's pending round and
-        batches the dispatch exponentials over all of them."""
+        tuner dispatch — *without* dispatching them, so the window
+        driver can batch the dispatch exponentials over every shard's
+        pending round."""
         e = self.engine
-        now = e.clock.now
         closers = []
         for s in e.sessions:
             if s.epoch_elapsed <= 0:
@@ -276,13 +130,8 @@ class ShardSpanEngine:
                 closers.append(s)
         if not closers:
             return []
-        t0 = perf_counter()
-        recs = close_epochs(closers, now)
-        pending = [
-            (s, rec) for s, rec in zip(closers, recs) if not s.done
-        ]
-        self.phase_s["close"] += perf_counter() - t0
-        return pending
+        recs = close_epochs(closers, e.clock.now)
+        return [(s, rec) for s, rec in zip(closers, recs) if not s.done]
 
     def dispatch_normals(self, m: int):
         """The dispatch round's sized pre-draws for ``m`` epochs:
@@ -292,8 +141,8 @@ class ShardSpanEngine:
         numpy's sized draws produce the exact value sequence of ``m``
         scalar draws, and the two streams are independent generators,
         so per-stream order is all that matters.  The ``exp`` is left
-        to the caller: the fused cross-shard round batches it over
-        every shard's draws at once.
+        to the window driver, which batches it over every shard's
+        draws at once.
         """
         e = self.engine
         sig_n = e.config.noise_sigma_epoch
@@ -311,26 +160,6 @@ class ShardSpanEngine:
         for (s, rec), noise, rjit in zip(pending, noises, rjits):
             e._dispatch_epoch(s, rec, noise=noise, rjit=rjit)
 
-    def _dispatch_round(self, pending: list) -> None:
-        """Dispatch every epoch closed this tick, in session order,
-        with one sized pre-draw per stream."""
-        zn, zr = self.dispatch_normals(len(pending))
-        noises = np.exp(zn).tolist() if zn is not None else repeat(1.0)
-        rjits = np.exp(zr).tolist() if zr is not None else repeat(1.0)
-        self.apply_dispatch(pending, noises, rjits)
-
-    def _advance_span(self, active: list, tick0: int, k: int) -> None:
-        """Vectorized equivalent of ``k`` scalar advance phases for the
-        span's constant membership/allocation — BatchEngine's
-        ``_advance_span`` arithmetic, with the allocation shared across
-        rows and the jitter interleave step-major (see module doc)."""
-        ctx = self.collect_span(active, tick0, k)
-        if ctx is None:
-            return
-        out = _span_chain(ctx["RS"], ctx["Z"], ctx["c1"], ctx["tau"],
-                          ctx["tss0"], ctx["er0"], ctx["eb0"], self.dt)
-        self.commit_span(ctx, out, tick0, k)
-
     def collect_span(self, active: list, tick0: int, k: int):
         """Phase 1 of a span: fold the dt-paced counters, append dead
         rows' records, draw the live rows' step jitter, and gather the
@@ -338,16 +167,16 @@ class ShardSpanEngine:
         chain, else a context dict for :func:`_span_chain` /
         :meth:`commit_span`.
 
-        The fused cross-shard driver (repro.service.fusion) collects
-        each shard's context, stacks the input rows, and runs ONE chain
-        — exact because the chain is elementwise plus row-local
-        ``axis=1`` folds, so rows are independent of their neighbours.
+        The window driver (repro.service.fusion) collects each shard's
+        context, stacks the input rows, and runs ONE chain — exact
+        because the chain is elementwise plus row-local ``axis=1``
+        folds, so rows are independent of their neighbours.
         """
         e = self.engine
         dt = self.dt
         load = e.schedule.at(tick0 * dt)
         self.lane_widths[len(active)] += 1
-        fold_dt = self._fold_dt
+        folds = self.folds
 
         live = [s for s in active if s.restart_remaining < dt]
         if not live and load.ext_cmp == 0 and load.ext_tfr == 0:
@@ -375,10 +204,9 @@ class ShardSpanEngine:
             for s in active:
                 if s.restart_remaining < dt:
                     continue
-                s.epoch_elapsed = fold_dt(s.epoch_elapsed, k)
-                s.state.elapsed_s = fold_dt(s.state.elapsed_s, k)
-                s.restart_remaining = self._fold_sub(
-                    s.restart_remaining, k)
+                s.epoch_elapsed = folds.add(s.epoch_elapsed, k)
+                s.state.elapsed_s = folds.add(s.state.elapsed_s, k)
+                s.restart_remaining = folds.sub(s.restart_remaining, k)
                 s.trace.steps.extend(map(
                     tuple.__new__, repeat(StepRecord),
                     zip(t_dead, repeat(0.0), repeat(True),
@@ -409,8 +237,8 @@ class ShardSpanEngine:
             eb0[row] = s.epoch_bytes
             # dt-paced counters need no matrix: fold them directly with
             # the scalar loop's exact sequential accumulation.
-            s.epoch_elapsed = fold_dt(s.epoch_elapsed, k)
-            s.state.elapsed_s = fold_dt(s.state.elapsed_s, k)
+            s.epoch_elapsed = folds.add(s.epoch_elapsed, k)
+            s.state.elapsed_s = folds.add(s.state.elapsed_s, k)
 
             rr = s.restart_remaining
             if rr > 0.0:
@@ -480,15 +308,25 @@ class ShardSpanEngine:
 def _span_chain(RS, Z, c1, tau, tss0, er0, eb0, dt):
     """Phase 2 of a span: the ramp/rate/bytes matrix chain.
 
-    Operand-for-operand the scalar loop's arithmetic (see BatchEngine's
-    ``_advance_span`` for the derivation; buffer reuse via ``out=`` is
-    pure notation).  Every operation is elementwise or a row-local
-    ``axis=1`` fold, so rows from *different shards* may be stacked into
-    one call and split back with no change in any row's result — that
-    row independence is what makes cross-shard span fusion bit-exact.
+    The one vectorized form of the scalar loop's per-step arithmetic,
+    used by both batch paths.  Inputs hold one row per lane: ``RS`` the
+    per-step running seconds (0.0 on dead steps), ``Z`` the step-jitter
+    normals (overwritten), ``c1`` the lane's ``(alloc * eta) *
+    noise_factor``, ``tau`` its slow-start constant, and
+    ``tss0``/``er0``/``eb0`` its ramp clock and epoch accumulators
+    entering the span.
 
-    Returns ``(B, MV, RREC, er, eb)``: ramp-clock bounds, per-step
-    bytes, step-record rates, and the folded epoch accumulators.
+    Every operation is operand-for-operand the scalar loop's: buffer
+    reuse via ``out=`` keeps the scalar operand order, and IEEE division
+    is sign-symmetric, so ``B / -tau == -B / tau``.  Every operation is
+    elementwise or a row-local ``axis=1`` fold, so rows from different
+    lanes or shards may be stacked into one call and split back with no
+    change in any row's result.
+
+    Returns ``(B, MV, RREC, er, eb)``: ramp-clock bounds (``B[:, j]`` is
+    the ramp clock entering step ``j``; dead steps add 0.0, an exact
+    no-op), per-step bytes, step-record rates, and the folded epoch
+    accumulators.
     """
     L, k = RS.shape
     tau_col = tau[:, None]
@@ -517,7 +355,8 @@ def _span_chain(RS, Z, c1, tau, tss0, er0, eb0, dt):
     np.divide(T, dt, out=Z)
     RREC = Z  # step-record rate: (MV / MB) / dt
 
-    # Epoch accumulators: exact sequential left folds.
+    # Epoch accumulators: exact sequential left folds (np.sum's
+    # pairwise reduction would round differently).
     er = np.add.accumulate(
         np.concatenate([er0[:, None], RS], axis=1), axis=1)[:, -1]
     eb = np.add.accumulate(

@@ -60,7 +60,7 @@ from repro.obs.events import (
     TunerReject,
 )
 from repro.obs.instrument import publish_epoch_record
-from repro.sim.clock import SimClock
+from repro.sim.clock import SimClock, SpanFolds
 from repro.noise import lognormal_factor
 from repro.sim.rng import RngStreams
 from repro.sim.session import TransferSession
@@ -258,6 +258,7 @@ class Engine:
                 self._check_sink_session(s)
 
         self.clock = SimClock(self.config.dt)
+        self._folds = SpanFolds(self.config.dt)
         self.rng = RngStreams(self.config.seed)
         # The per-epoch dispatch draws always touch these three streams;
         # resolve them once (generator identity survives set_state, which
@@ -899,37 +900,27 @@ class Engine:
         """Count the step-jitter draws between now and the end of the
         step on which the next epoch closes (inclusive).
 
-        Mirrors the advance phase's float arithmetic exactly: a session
-        draws one jitter per step while it is not done and its restart
-        window is below one step; ``elapsed_s``/``epoch_elapsed``
-        accumulate by ``dt`` with the same operations the engine
-        applies, so done/boundary transitions land on the same step.
-        Only called for duration-limited sessions (infinite bytes),
-        whose completion does not depend on the bytes moved.
+        The span is the fewest steps until any live session closes its
+        epoch or reaches its duration limit, replayed with the step
+        loop's own ``+= dt`` folds (:class:`~repro.sim.clock.SpanFolds`)
+        so boundaries land on the same step; a session draws one jitter
+        per span step past its restart window's dead prefix.  Only
+        called for duration-limited sessions (infinite bytes), whose
+        completion does not depend on the bytes moved.
         """
-        dt = self.config.dt
-        sims = [
-            # [elapsed_s, duration limit, restart_remaining,
-            #  epoch_elapsed, epoch target]
-            [s.state.elapsed_s, s.spec.max_duration_s, s.restart_remaining,
-             s.epoch_elapsed, s.epoch_target_s()]
-            for s in self.sessions
-            if not s.done
-        ]
-        count = 0
-        while sims:
-            closing = False
-            for st in sims:
-                if st[2] < dt:
-                    count += 1
-                st[0] += dt                   # state.account: elapsed_s
-                st[2] = max(0.0, st[2] - dt)  # restart decay
-                st[3] += dt                   # epoch_elapsed
-                if st[3] >= st[4] - 1e-9 or st[0] >= st[1]:
-                    closing = True
-            if closing:
-                break
-        return count
+        folds = self._folds
+        live = [s for s in self.sessions if not s.done]
+        horizons = []
+        for s in live:
+            m = folds.close(s.epoch_elapsed, s.epoch_target_s())
+            limit = s.spec.max_duration_s
+            if limit is not None:
+                # Fold elapsed_s no further than this session's close.
+                m = folds.done(s.state.elapsed_s, limit, m)
+            horizons.append(m)
+        n = max(1, min(horizons, default=0))
+        return sum(n - min(n, folds.dead(s.restart_remaining))
+                   for s in live)
 
     def _dispatch_epoch(
         self, s: TransferSession, rec, *,
@@ -987,10 +978,10 @@ class Engine:
             rjit = lognormal_factor(
                 self._rng_rjit, self.client.restart.jitter_sigma
             )
-        # The backoff draw is only consumed by a retry policy, and the
-        # faults stream's only other consumer is a fault model; with
-        # neither present, skipping it cannot perturb any later draw.
-        if s.retry_state is not None or s.fault_model is not None:
+        # The backoff draw is the faults stream's only consumer and only
+        # a retry policy uses it; without one, skipping it cannot
+        # perturb any later draw.
+        if s.retry_state is not None:
             backoff_u = float(self._rng_faults.uniform(-1.0, 1.0))
         else:
             backoff_u = 0.0
@@ -1151,10 +1142,6 @@ class Engine:
         dead = extra_dead_s
         if needs_restart:
             dead += self._restart_dead_s(s, warm=warm, rjit=rjit)
-        if s.fault_model is not None and s.fault_model.draw_fault(
-            self.rng.faults
-        ):
-            dead += self._restart_dead_s(s, rjit=rjit)
         if dead > 0:
             s.begin_restart(
                 min(dead, s.spec.epoch_s * self.client.restart.max_fraction_of_epoch)

@@ -20,7 +20,6 @@ from repro.faults.breaker import CircuitBreaker
 from repro.faults.events import OBS_LOSS, STREAM_CRASH
 from repro.faults.retry import RetryPolicy, RetryState
 from repro.faults.schedule import FaultSchedule
-from repro.gridftp.globus import FaultModel
 from repro.gridftp.transfer import TransferSpec, TransferState
 from repro.sim.trace import EpochRecord, StepRecord, Trace
 from repro.sim.traceio import step_from_dict, step_to_dict
@@ -98,9 +97,6 @@ class TransferSession:
         epoch); False for ``default`` which launches once and runs.
     warm_restart:
         Extension (future work 2): reuse processes when only np changes.
-    fault_model:
-        Optional legacy per-epoch Bernoulli fault injection (deprecated;
-        use ``fault_schedule``).
     fault_schedule:
         Optional deterministic fault campaign (:mod:`repro.faults`):
         crashes, aborts, blackouts, link degradation, observation loss
@@ -128,7 +124,6 @@ class TransferSession:
         param_map: ParamMap | None = None,
         restart_each_epoch: bool = True,
         warm_restart: bool = False,
-        fault_model: FaultModel | None = None,
         fault_schedule: FaultSchedule | None = None,
         retry_policy: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
@@ -139,7 +134,6 @@ class TransferSession:
         self.param_map = param_map if param_map is not None else ParamMap()
         self.restart_each_epoch = restart_each_epoch
         self.warm_restart = warm_restart
-        self.fault_model = fault_model
         self.fault_schedule = fault_schedule
         self.retry_policy = retry_policy
         self.retry_state: RetryState | None = (

@@ -1,11 +1,10 @@
-"""Unit tests for transfer accounting and Globus policy/faults."""
+"""Unit tests for transfer accounting and the Globus policy."""
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.gridftp.globus import FaultModel, GlobusPolicy
+from repro.gridftp.globus import GlobusPolicy
 from repro.gridftp.transfer import TransferSpec, TransferState
 from repro.units import GB, MB
 
@@ -94,48 +93,3 @@ class TestGlobusPolicy:
             GlobusPolicy(large_file_threshold_bytes=0)
         with pytest.raises(ValueError):
             GlobusPolicy().choose(0)
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestFaultModel:
-    def test_zero_probability_never_faults(self):
-        fm = FaultModel(fault_prob_per_epoch=0.0)
-        rng = np.random.default_rng(0)
-        assert not any(fm.draw_fault(rng) for _ in range(100))
-
-    def test_fault_rate_approximates_probability(self):
-        fm = FaultModel(fault_prob_per_epoch=0.3)
-        rng = np.random.default_rng(1)
-        rate = sum(fm.draw_fault(rng) for _ in range(5000)) / 5000
-        assert rate == pytest.approx(0.3, abs=0.03)
-
-    def test_certain_fault_probability_allowed(self):
-        fm = FaultModel(fault_prob_per_epoch=1.0)
-        rng = np.random.default_rng(2)
-        assert all(fm.draw_fault(rng) for _ in range(100))
-
-    def test_validation_message_names_the_interval(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            FaultModel(fault_prob_per_epoch=1.5)
-        with pytest.raises(ValueError):
-            FaultModel(fault_prob_per_epoch=-0.1)
-        with pytest.raises(ValueError):
-            FaultModel(max_retries=-1)
-
-    def test_nonzero_probability_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            FaultModel(fault_prob_per_epoch=0.2)
-
-    def test_zero_probability_stays_silent(self, recwarn):
-        FaultModel(fault_prob_per_epoch=0.0)
-        assert not any(
-            isinstance(w.message, DeprecationWarning) for w in recwarn.list
-        )
-
-    def test_as_schedule_matches_rate_and_replays(self):
-        fm = FaultModel(fault_prob_per_epoch=0.25)
-        sched = fm.as_schedule(seed=7, n_epochs=400)
-        again = fm.as_schedule(seed=7, n_epochs=400)
-        assert sched == again
-        rate = len(sched.fault_epochs()) / 400
-        assert rate == pytest.approx(0.25, abs=0.06)

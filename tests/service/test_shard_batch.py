@@ -215,10 +215,16 @@ class TestCrossShardFusion:
         # Chains stacked rows from both shards at least once.
         assert any(int(w) > 1 for w in fusion["widths"])
         assert set(fusion["phase_s"]) == {"span", "close", "dispatch"}
+        assert all(v > 0.0 for v in fusion["phase_s"].values())
         for name in ("anl-uc", "anl-tacc"):
             block = doc["batch"][name]
             assert block["fused_epochs"] > 0
             assert block["occupancy"]["fallback"] == 0
+            # Every window fused: fused rounds are timed once, in the
+            # fleet's fusion stats, never on a shard's own clock.
+            assert block["fused_epochs"] == block["occupancy"]["batched"]
+            assert block["phase_s"] == {
+                "span": 0.0, "close": 0.0, "dispatch": 0.0}
         text = fleet.prometheus()
         assert 'repro_fleet_epochs_total' in text
         assert 'path="fused"' in text
@@ -233,8 +239,13 @@ class TestCrossShardFusion:
         fleet.drive()
         doc = fleet.status()
         assert doc["fusion"]["rounds"] == 0
-        assert doc["batch"]["anl-uc"]["fused_epochs"] == 0
-        assert doc["batch"]["anl-uc"]["occupancy"]["batched"] > 0
+        assert doc["fusion"]["phase_s"] == {
+            "span": 0.0, "close": 0.0, "dispatch": 0.0}
+        block = doc["batch"]["anl-uc"]
+        assert block["fused_epochs"] == 0
+        assert block["occupancy"]["batched"] > 0
+        # Solo windows are timed on the shard's own clock, all phases.
+        assert all(v > 0.0 for v in block["phase_s"].values())
 
     def test_blocked_shard_drops_out_of_fusion_then_rejoins(self):
         """A blackout on one shard routes that shard to the scalar

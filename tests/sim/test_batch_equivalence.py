@@ -6,10 +6,12 @@ with no tolerance — to the scalar :func:`run_single` call with the same
 arguments.  These tests pin that contract across the tuner matrix on
 both stock scenarios with the fast path on and off, across
 heterogeneous populations (mixed tuners, durations, load schedules, a
-2-D ``tune_np`` lane), and across the automatic per-run scalar
-fallback, plus the :class:`BatchEngine` construction-time validation.
+2-D ``tune_np`` lane), at step sizes whose ``+= dt`` counters drift,
+and across the automatic per-run scalar fallback, plus the
+:class:`BatchEngine` construction-time validation.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -22,15 +24,19 @@ from repro.experiments.batch import (
     dispatch_timings,
     fallback_reasons,
     occupancy,
-    resolve_dispatch,
     run_batch,
 )
 from repro.experiments.figures import varying_load_schedule
-from repro.experiments.runner import build_single_engine, run_single
+from repro.experiments.runner import (
+    build_single_engine,
+    make_session,
+    run_single,
+)
 from repro.experiments.scenarios import ANL_TACC, ANL_UC
 from repro.faults import FaultEvent, FaultSchedule, RetryPolicy, STREAM_CRASH
 from repro.sim.batch import BatchEngine, unbatchable_reason
-from repro.sim.engine import LoadSchedule
+from repro.sim.engine import Engine, EngineConfig, LoadSchedule
+from repro.sim.session import TransferSession
 
 DURATION = 240.0
 SEED = 5
@@ -147,21 +153,20 @@ def test_unbatchable_specs_fall_back_per_run():
 # -- population dispatch -----------------------------------------------------
 
 
-@pytest.mark.parametrize("tuner_name", ["cd", "cs", "gss"])
-@pytest.mark.parametrize("dispatch", [True, False],
-                         ids=["population", "ladder"])
-def test_population_dispatch_matrix_is_bit_identical(tuner_name, dispatch):
-    """Population-dispatch lanes (and the same lanes with the knob off)
-    stay bit-identical to run_single across the supported tuners."""
+@pytest.mark.parametrize("tuner_name", ["cd", "cs", "gss"],
+                         ids=lambda name: f"population-{name}")
+def test_population_dispatch_matrix_is_bit_identical(tuner_name):
+    """Population-dispatch lanes stay bit-identical to run_single across
+    the supported tuners (nm and retry-policy lanes cover the scalar
+    ladder)."""
     specs = [
         SingleRunSpec(ANL_UC, make_tuner(tuner_name, seed),
                       duration_s=DURATION, seed=seed)
         for seed in range(SEED, SEED + 4)
     ]
-    refs = [_run_scalar(s) for s in specs]
-    got = run_batch(specs, batch=4, cache=False, dispatch=dispatch)
-    for ref, trace in zip(refs, got):
-        assert_bit_identical(ref, trace)
+    before = dispatch_timings()["population_lanes"]
+    _assert_batch_matches_scalar(specs, batch=4)
+    assert dispatch_timings()["population_lanes"] == before + 4
 
 
 def test_mixed_tuner_population_routes_nm_to_ladder():
@@ -208,27 +213,58 @@ def test_recovery_machinery_lane_keeps_ladder_with_reason():
             == before + 1)
 
 
-def test_resolve_dispatch_env(monkeypatch):
-    monkeypatch.delenv("REPRO_DISPATCH", raising=False)
-    assert resolve_dispatch(None) is True
-    monkeypatch.setenv("REPRO_DISPATCH", "off")
-    assert resolve_dispatch(None) is False
-    assert resolve_dispatch(True) is True  # explicit knob wins
-    monkeypatch.setenv("REPRO_DISPATCH", "1")
-    assert resolve_dispatch(None) is True
-    monkeypatch.setenv("REPRO_DISPATCH", "sideways")
-    with pytest.raises(ValueError):
-        resolve_dispatch(None)
+# -- non-dyadic step sizes ---------------------------------------------------
 
 
-def test_dispatch_env_off_is_bit_identical(monkeypatch):
-    monkeypatch.setenv("REPRO_DISPATCH", "off")
-    specs = [
-        SingleRunSpec(ANL_UC, make_tuner("cd", seed), duration_s=DURATION,
-                      seed=seed)
-        for seed in (SEED, SEED + 1)
+def _lane(dt, tuner_name, seed, *, offset=0.0, duration=DURATION,
+          load=None):
+    """A single-session engine at step size ``dt`` (``build_single_engine``
+    fixes ``dt = 1``), with an optional first-epoch offset."""
+    tuner = make_tuner(tuner_name, seed)
+    base = make_session("main", ANL_UC.main_path, tuner,
+                        duration_s=duration)
+    session = TransferSession(
+        dataclasses.replace(base.spec, epoch_offset_s=offset),
+        tuner, base.space, base.x0, param_map=base.param_map,
+        restart_each_epoch=base.restart_each_epoch,
+    )
+    return Engine(
+        topology=ANL_UC.build_topology(), host=ANL_UC.host,
+        sessions=[session],
+        schedule=load if load is not None
+        else LoadSchedule.constant(ExternalLoad()),
+        config=EngineConfig(dt=dt, seed=seed),
+    )
+
+
+def _drifting_lanes(dt, mix):
+    """Lockstep seed replicates, or lanes mixing tuners, epoch offsets,
+    durations and a load schedule whose changes fall between ticks."""
+    if mix == "lockstep":
+        return [_lane(dt, "cd", SEED + j) for j in range(4)]
+    load = LoadSchedule([
+        (0.0, ExternalLoad(ext_cmp=16, ext_tfr=64)),
+        (95.35, ExternalLoad(ext_cmp=16, ext_tfr=16)),
+        (171.0, ExternalLoad(ext_cmp=4)),
+    ])
+    return [
+        _lane(dt, "cd", SEED, offset=7.3, load=load),
+        _lane(dt, "nm", SEED + 1, duration=180.05),
+        _lane(dt, "cd", SEED + 2, load=load),
+        _lane(dt, "cs", SEED + 3, offset=11.0, duration=200.0),
     ]
-    _assert_batch_matches_scalar(specs, batch=2)
+
+
+@pytest.mark.parametrize("mix", ["lockstep", "mixed"])
+@pytest.mark.parametrize("dt", [0.1, 0.3, 0.7])
+def test_non_dyadic_step_sizes_are_bit_identical(dt, mix):
+    """At these step sizes the loop's ``+= dt`` counters drift from
+    ``n * dt``: batch lanes must replay the drift to close epochs,
+    finish and change load on the scalar loop's tick."""
+    refs = [e.run()["main"] for e in _drifting_lanes(dt, mix)]
+    got = BatchEngine(_drifting_lanes(dt, mix)).run()
+    for ref, traces in zip(refs, got):
+        assert_bit_identical(ref, traces["main"])
 
 
 # -- BatchEngine construction-time validation --------------------------------
@@ -269,8 +305,6 @@ def test_batch_engine_rejects_mismatched_alloc_groups():
 
 
 def test_unbatchable_reason_classifies_finite_bytes():
-    import dataclasses
-
     engine = _engine()
     assert math.isinf(engine.sessions[0].spec.total_bytes)
     engine.sessions[0].spec = dataclasses.replace(

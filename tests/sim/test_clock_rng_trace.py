@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.noise import lognormal_factor
-from repro.sim.clock import SimClock
+from repro.endpoint.load import ExternalLoad, LoadSchedule
+from repro.sim.clock import SimClock, SpanFolds
 from repro.sim.rng import STREAM_NAMES, RngStreams
 from repro.sim.trace import EpochRecord, StepRecord, Trace
 
@@ -29,6 +30,43 @@ class TestSimClock:
             SimClock(dt=0.0)
         with pytest.raises(ValueError):
             SimClock().advance(-1)
+
+
+class TestSpanFolds:
+    """The folds replay the step loop's float counters, drift included."""
+
+    def test_folds_keep_the_loop_drift(self):
+        f = SpanFolds(0.1)
+        # 3000 x ``+= 0.1`` falls short of 300, so the duration limit
+        # costs one step more than 300 / dt.
+        assert f.add(0.0, 3000) == 299.9999999999997
+        assert f.done(0.0, 300.0) == 3001
+        assert f.done(0.0, 300.0, 50) == 50
+        # The epoch boundary test carries a 1e-9 tolerance.
+        assert f.close(0.0, 30.0) == 300
+
+    def test_restart_folds_match_the_loop_decay(self):
+        f = SpanFolds(0.1)
+        rr = 0.35
+        steps = []
+        while rr >= 0.1:
+            steps.append(rr)
+            rr = max(0.0, rr - 0.1)
+        assert f.dead(0.35) == len(steps) == 3
+        assert f.sub(0.35, 3) == rr
+        assert f.sub(0.35, 5) == 0.0
+
+    def test_change_ticks_follow_schedule_lookup(self):
+        sched = LoadSchedule([
+            (0.0, ExternalLoad(ext_cmp=16)),
+            (95.35, ExternalLoad(ext_cmp=4)),
+            (171.0, ExternalLoad()),
+        ])
+        for dt in (0.1, 0.3, 0.7):
+            ticks = SpanFolds(dt).change_ticks(sched)
+            assert len(ticks) == 2
+            for m in ticks:
+                assert sched.at(m * dt) != sched.at((m - 1) * dt)
 
 
 class TestRngStreams:

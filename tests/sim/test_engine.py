@@ -12,7 +12,6 @@ from repro.core.params import ParamSpace
 from repro.endpoint.host import HostSpec
 from repro.endpoint.load import ExternalLoad, LoadSchedule
 from repro.gridftp.client import ClientModel, RestartModel
-from repro.gridftp.globus import FaultModel
 from repro.gridftp.transfer import TransferSpec
 from repro.net.link import Link, Path
 from repro.net.tcp import TcpModel
@@ -188,15 +187,6 @@ class TestSharedBottleneck:
         rb = traces["b"].epochs[-1].best_case
         assert ra + rb == pytest.approx(1000.0, rel=0.05)
         assert ra / rb == pytest.approx(3.0, rel=0.1)
-
-
-class TestFaults:
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_faults_inject_extra_dead_time(self):
-        clean = _engine([_session(duration=300.0)], seed=3).run()["s"]
-        s = _session(duration=300.0, fault_model=FaultModel(0.8))
-        faulty = _engine([s], seed=3).run()["s"]
-        assert faulty.mean_observed() < clean.mean_observed()
 
 
 class TestJointControllerEngine:

@@ -8,8 +8,9 @@ because all randomness is drawn from the same streams in the same
 order.  These tests pin that contract across every engine feature that
 interacts with the cache key or the draw order: tuners, faults and
 breaker transitions, varying load schedules, multi-session pairs with
-epoch offsets, the joint controller, finite-byte transfers, partial
-``run(until_s=...)``, zero noise, and crash/resume.
+epoch offsets, step sizes whose ``+= dt`` counters drift, the joint
+controller, finite-byte transfers, partial ``run(until_s=...)``, zero
+noise, and crash/resume.
 """
 
 import json
@@ -149,7 +150,7 @@ def _engine(*, fast_path, sessions=None, noise_sigma_step=0.02):
     )
 
 
-def _offset_sessions():
+def _offset_sessions(duration=DURATION):
     """Two sessions whose epochs close on *different* steps — the case
     that stresses the jitter-batch span prediction."""
     scenario = SCENARIOS["anl-uc"]
@@ -159,12 +160,12 @@ def _offset_sessions():
     ):
         spec = TransferSpec(
             name=name, path_name=path, total_bytes=math.inf,
-            max_duration_s=DURATION, epoch_s=30.0, epoch_offset_s=offset,
+            max_duration_s=duration, epoch_s=30.0, epoch_offset_s=offset,
         )
         out.append(TransferSession(
             spec, make_tuner("nm", SEED),
             make_session("tmp", path, make_tuner("nm", SEED),
-                         duration_s=DURATION).space,
+                         duration_s=duration).space,
             (2,),
             param_map=ParamMap.nc_only(fixed_np=8),
             restart_each_epoch=True,
@@ -175,6 +176,41 @@ def _offset_sessions():
 def test_epoch_offsets_are_bit_identical():
     ref = _engine(fast_path=False, sessions=_offset_sessions()).run()
     fast = _engine(fast_path=True, sessions=_offset_sessions()).run()
+    for name in ref:
+        assert_bit_identical(ref[name], fast[name])
+
+
+@pytest.mark.parametrize("kit", ["offset-pair", "faulted"])
+@pytest.mark.parametrize("dt", [0.1, 0.3, 0.7])
+def test_non_dyadic_step_sizes_are_bit_identical(dt, kit):
+    """At these step sizes the loop's ``+= dt`` counters drift from
+    ``n * dt``, so the jitter-batch prediction must replay the drift to
+    end each span on the step that closes an epoch — with offset
+    epochs, a 30 s epoch that ``dt`` does not divide, load changes that
+    fall between ticks, and retry backoff stretching restart windows."""
+    load = LoadSchedule([
+        (0.0, ExternalLoad(ext_cmp=16, ext_tfr=64)),
+        (95.35, ExternalLoad(ext_cmp=16, ext_tfr=16)),
+        (171.0, ExternalLoad(ext_cmp=4)),
+    ])
+
+    def sessions():
+        if kit == "offset-pair":
+            return _offset_sessions(duration=240.05)
+        return [make_session(
+            "main", "anl-uc", make_tuner("cs", SEED), duration_s=DURATION,
+            **_fault_kit(),
+        )]
+
+    def run(fast_path):
+        scenario = SCENARIOS["anl-uc"]
+        return Engine(
+            topology=scenario.build_topology(), host=scenario.host,
+            sessions=sessions(), schedule=load,
+            config=EngineConfig(dt=dt, seed=SEED, fast_path=fast_path),
+        ).run()
+
+    ref, fast = run(False), run(True)
     for name in ref:
         assert_bit_identical(ref[name], fast[name])
 
