@@ -2,8 +2,7 @@
 
 The workload is the batch engine's home turf — one scenario/tuner
 (ANL→UChicago, cd-tuner), 64 seed replicates at 900 s, cache off — so
-every lane shares the allocation-memo group and the homogeneous span
-shortcut applies.  Serial means 64 ``run_single`` calls on the default
+every lane shares the allocation-memo group and one epoch grid.  Serial means 64 ``run_single`` calls on the default
 fast-path scalar engine; batched means one ``run_batch`` call at
 ``batch=64``.  Traces must be bit-identical lane for lane; the
 committed target (and the CI ``--floor``) is **>= 9x** (raised from 8x

@@ -11,8 +11,7 @@ Two paths over identical workloads:
 * **serial scalar** — 64 ``run_single`` calls on the scalar engine;
 * **population dispatch** — one ``run_batch``: numpy epoch close
   (:mod:`repro.sim.batch.closing`), population proposals
-  (:mod:`repro.sim.batch.dispatch`), and the lockstep boundary
-  shortcuts.  Every one of the 64 lanes must join the cd population
+  (:mod:`repro.sim.batch.dispatch`) on one shared epoch grid.  Every one of the 64 lanes must join the cd population
   (``dispatch_timings()["population_lanes"]``); a lane left on the
   scalar ladder fails the bench.
 

@@ -34,7 +34,7 @@ from repro.endpoint.load import ExternalLoad
 from repro.experiments.runner import EPOCH_S, make_session
 from repro.experiments.scenarios import SCENARIOS
 from repro.faults import CircuitBreaker, FaultSchedule, RetryPolicy
-from repro.sim.engine import Engine, EngineConfig
+from repro.sim.engine import Engine, EngineConfig, check_snapshot_format
 from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -362,6 +362,10 @@ def resume_run(
         )
     if journal.ended:
         return trace_from_journal(journal)
+    if journal.snapshot is not None:
+        # Refuse before touching the file: a journal this version
+        # cannot resume is left as it was written.
+        check_snapshot_format(journal.snapshot)
     # Drop records past the resume anchor (epochs whose snapshot never
     # made it to disk are re-run, not replayed) so the journal's epoch
     # stream stays free of superseded duplicates.

@@ -341,7 +341,10 @@ def cmd_resume(args: argparse.Namespace) -> int:
                     for je in journal.snapshot_epochs_for(session)]
             for ev in events_from_records(session, recs):
                 event_log(ev)
-    trace = resume_run(args.journal, obs=obs)
+    try:
+        trace = resume_run(args.journal, obs=obs)
+    except ValueError as exc:
+        raise SystemExit(f"cannot resume {args.journal}: {exc}") from None
     _print_summary(
         trace, scenario=config["scenario"], load=config["load"],
         tuner=config["tuner"], tune_np=bool(config["tune_np"]),
@@ -1053,7 +1056,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="token-bucket burst size")
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--dt", type=float, default=1.0,
-                         help="simulation step in seconds")
+                         help="simulation step in seconds (--epoch-s "
+                              "must be a whole number of steps)")
     p_serve.add_argument("--epoch-s", type=float, default=30.0,
                          help="control-epoch span in sim seconds")
     p_serve.add_argument("--journal", default=None, metavar="PATH",

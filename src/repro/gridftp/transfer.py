@@ -65,11 +65,15 @@ class TransferSpec:
 
 @dataclass
 class TransferState:
-    """Mutable progress of one transfer (the ``s'`` of the algorithms)."""
+    """Mutable progress of one transfer (the ``s'`` of the algorithms).
+
+    Elapsed time is a step count: ``elapsed_s`` is ``ticks * dt``.
+    """
 
     spec: TransferSpec
     remaining_bytes: float = math.nan  # set in __post_init__
     elapsed_s: float = 0.0
+    ticks: int = 0
 
     def __post_init__(self) -> None:
         if math.isnan(self.remaining_bytes):
@@ -92,7 +96,8 @@ class TransferState:
             raise ValueError("need nbytes >= 0 and dt > 0")
         moved = min(nbytes, self.remaining_bytes)
         self.remaining_bytes -= moved
-        self.elapsed_s += dt
+        self.ticks += 1
+        self.elapsed_s = self.ticks * dt
         return moved
 
     # -- checkpoint support ----------------------------------------------
@@ -103,6 +108,7 @@ class TransferState:
         return {
             "remaining_bytes": self.remaining_bytes,
             "elapsed_s": self.elapsed_s,
+            "ticks": self.ticks,
         }
 
     def restore(self, state: dict) -> None:
@@ -110,3 +116,4 @@ class TransferState:
         travels with the run configuration instead)."""
         self.remaining_bytes = float(state["remaining_bytes"])
         self.elapsed_s = float(state["elapsed_s"])
+        self.ticks = int(state["ticks"])

@@ -73,7 +73,6 @@ class FleetService:
         journal_path: str | Path | None = None,
         metrics: MetricsRegistry | None = None,
         batch: bool = True,
-        fusion: bool = True,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.supervisor = Supervisor()
@@ -83,12 +82,7 @@ class FleetService:
         )
         self.admission.breaker.on_transition = self._on_breaker
         self.epoch_s = epoch_s
-        self.dt = dt
         self.batch = batch
-        #: Whether compatible shards' windows merge into one fused span
-        #: and dispatch batch per round (repro.service.fusion) — bit-
-        #: identical either way, and meaningless without batching.
-        self.fusion = fusion and batch
         self._fusion_stats: dict = {
             "rounds": 0, "epochs": 0, "chains": 0, "rows": 0,
             "widths": {},
@@ -126,7 +120,6 @@ class FleetService:
                 "epoch_s": epoch_s,
                 "seed": seed,
                 "batch": batch,
-                "fusion": self.fusion,
             })
 
     # -- internal hooks --------------------------------------------------
@@ -284,11 +277,11 @@ class FleetService:
         shard one control epoch, retire finished tenants, feed the
         overload breaker.
 
-        With fusion on, every shard whose window is batch-eligible this
-        round joins one cross-shard fused advance (same dt and window
-        length by construction, so their clocks stay compatible);
-        blocked or singleton shards take their own :meth:`FleetShard.
-        step_epoch` path.  Either way each shard's trajectory is
+        With batching on, every shard whose window is batch-eligible
+        this round joins one cross-shard fused advance (same dt and
+        window length by construction, so their clocks stay
+        compatible); blocked or singleton shards take their own
+        :meth:`FleetShard.step_epoch` path.  Either way each shard's trajectory is
         bit-identical — shards share no state and no RNG streams."""
         if self.drained:
             raise RuntimeError("fleet already drained")
@@ -296,14 +289,11 @@ class FleetService:
             self._admit(spec, degraded, self._pending_chaos.pop(
                 spec.tenant, None))
         finished: list[Tenant] = []
-        fused: list[FleetShard] = []
-        if self.fusion:
-            fused = [sh for sh in self.shards.values() if sh.fusible()]
-            if len(fused) < 2:
-                fused = []  # nothing to amortize across
+        fused = [sh for sh in self.shards.values() if sh.fusible()]
+        if len(fused) < 2:
+            fused = []  # nothing to amortize across
         if fused:
-            stats = advance_fused(
-                fused, int(round(self.epoch_s / self.dt)))
+            stats = advance_fused(fused, fused[0].window_ticks)
             self._note_fusion(stats, fused)
             for shard in fused:
                 finished.extend(shard.note_fused_window())
@@ -436,7 +426,6 @@ class FleetService:
                 for name, shard in self.shards.items()
             },
             "fusion": {
-                "enabled": self.fusion,
                 "rounds": self._fusion_stats["rounds"],
                 "epochs": self._fusion_stats["epochs"],
                 "chains": self._fusion_stats["chains"],

@@ -18,9 +18,9 @@ no row's result.  The driver exploits exactly that:
   per-shard jitter draws from that shard's own stream), stacks the
   rows, runs ONE chain, and commits each shard's slice back.  Splitting
   one shard's natural span at another shard's boundary is exact: the
-  counter folds compose (``add(add(x, a), b) == add(x, a + b)`` — both
-  are the same sequential ``+= dt``), the step-major jitter draw splits
-  at step boundaries into the identical value sequence, and the epoch
+  session clocks are tick counts (``a`` ticks then ``b`` ticks is
+  ``a + b`` ticks), the step-major jitter draw splits at step
+  boundaries into the identical value sequence, and the epoch
   accumulators carry their partial folds through the session state
   between sub-spans;
 * **batched dispatch** — each shard's boundary closes produce a

@@ -44,6 +44,7 @@ from repro.service.supervisor import Supervisor
 from repro.service.tenant import COMPLETED, FAILED, RUNNING, Tenant
 from repro.sim.batch.eligibility import unbatchable_lane_reason
 from repro.sim.batch.shard import ShardSpanEngine
+from repro.sim.clock import SimClock
 from repro.sim.engine import Engine, EngineConfig
 from repro.sim.session import TransferSession
 from repro.sim.trace import EpochRecord
@@ -69,11 +70,12 @@ class FleetShard:
         clock=time.perf_counter,
         batch: bool = True,
     ) -> None:
-        if epoch_s <= 0 or epoch_s % dt != 0:
+        if epoch_s <= 0:
             raise ValueError("epoch_s must be a positive multiple of dt")
+        #: Steps per control-epoch window (``epoch_s`` in whole steps).
+        self.window_ticks = SimClock(dt).ticks_for(epoch_s)
         self.scenario = scenario
         self.epoch_s = epoch_s
-        self.dt = dt
         self.metrics = metrics
         self.supervisor = supervisor if supervisor is not None else Supervisor()
         self._clock = clock
@@ -153,7 +155,7 @@ class FleetShard:
 
     def mid_epoch(self) -> bool:
         """True while any active session is inside a control epoch."""
-        return any(s.epoch_elapsed > 0 for s in self._sessions.values())
+        return any(s.epoch_ticks for s in self._sessions.values())
 
     # -- stepping --------------------------------------------------------
 
@@ -172,7 +174,7 @@ class FleetShard:
         spans with no state handoff (both paths drive the same
         engine)."""
         if self.active:
-            steps = int(round(self.epoch_s / self.dt))
+            steps = self.window_ticks
             blockers = self._window_blockers() if self.batch else None
             if self.batch and not blockers:
                 stats = advance_fused([self], steps)

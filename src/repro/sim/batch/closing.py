@@ -76,7 +76,8 @@ def close_epochs(sessions, now: float) -> list[EpochRecord]:
         s.last_epoch_steps = trace.steps[s._epoch_step_mark:]
         s._epoch_step_mark = len(trace.steps)
         s.epoch_index += 1
-        s.epoch_elapsed = 0.0
+        s.epoch_ticks = 0
+        s.close_tick = s._later_close
         s.epoch_run_s = 0.0
         s.epoch_bytes = 0.0
         out.append(rec)

@@ -273,5 +273,4 @@ class PopulationDispatcher:
         dead = np.minimum(np.minimum(t, cap) * rj, cap)
         for (j, session, engine, warm, c), d in zip(rows, dead.tolist()):
             if d > 0.0:
-                session.restart_remaining = d
-                session.time_since_start = 0.0
+                session.begin_restart(d)

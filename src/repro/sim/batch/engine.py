@@ -12,15 +12,15 @@ How
 The step loop is replaced by a *span* loop.  A span is the longest run
 of ticks on which no lane hits a change point — an epoch closure, a
 transfer-duration completion, or a load-schedule transition.  Span
-length is pure step arithmetic: the scalar loop's own float folds,
-replayed by :class:`~repro.sim.clock.SpanFolds` (the same helper the
-shard engine and the scalar fast path's jitter prediction use), so
-boundaries land on the same tick.  Within a span, every per-lane
-quantity is a row in a ``(lanes, span)`` matrix:
+length is integer tick arithmetic on the sessions' close and done
+ticks and the schedules' change ticks (:func:`~repro.sim.clock.
+boundary_tick`), so boundaries land on the scalar loop's tick.  Within
+a span, every per-lane quantity is a row in a ``(lanes, span)`` matrix:
 
 * each lane's restart window becomes a dead prefix of its ``run_s``
-  row (dead steps move nothing), so a lane's restart can end inside a
-  span — lanes are independent, unlike a shard's;
+  row (its dead ticks move nothing, the lead step runs
+  ``dt - lead_s``), so a lane's restart can end inside a span — lanes
+  are independent, unlike a shard's;
 * step-jitter draws come from one sized ``Generator.normal`` call per
   lane (numpy's sized draws produce the identical value sequence and
   end state as n scalar calls — the RNG-order contract);
@@ -62,7 +62,7 @@ from repro.sim.batch.closing import close_epochs
 from repro.sim.batch.dispatch import PopulationDispatcher, take_std_normals
 from repro.sim.batch.eligibility import unbatchable_reason
 from repro.sim.batch.shard import _span_chain
-from repro.sim.clock import SpanFolds
+from repro.sim.clock import boundary_tick
 from repro.sim.engine import Engine
 from repro.sim.trace import StepRecord, Trace
 
@@ -126,12 +126,11 @@ class BatchEngine:
         # and the rate is only consumed on steps with run_s > 0, where
         # the scalar path sees the live allocation too.
         self._alloc_memo: dict = {}
-        self.folds = SpanFolds(self.dt)
-        # (restart prefix length, span length) -> shared flag row.
-        self._flag_cache: dict[tuple[int, int], list[bool]] = {}
-        self._homog = False
+        # Load changes a lane lives to see (its done tick ends the run).
         self._change_ticks = [
-            self.folds.change_ticks(e.schedule) for e in engines
+            [m for c in e.schedule.change_times
+             if (m := boundary_tick(c, self.dt)) < s.done_tick]
+            for e, s in zip(engines, self._sessions)
         ]
         # Deferred columnar step buffers, one list of row arrays per
         # lane; records are materialized once at the end of the run.
@@ -169,94 +168,52 @@ class BatchEngine:
             )
             for i, (e, s) in enumerate(zip(self.engines, self._sessions))
         ]
-        folds = self.folds
-        done_tick = [
-            folds.done(0.0, s.spec.max_duration_s) for s in self._sessions
-        ]
         sessions = self._sessions
         engines = self.engines
+        clocks = [e.clock for e in engines]
         change_ticks = self._change_ticks
+        changing = [i for i, ticks in enumerate(change_ticks) if ticks]
+        # Batched lanes start at tick 0 and only finish by duration
+        # (finite-bytes and fault-schedule lanes never batch), so each
+        # lane's next epoch close (``due``: its epoch's first tick plus
+        # its close tick, capped at its done tick) is an absolute tick.
+        done_tick = [s.done_tick for s in sessions]
+        due = [min(s.close_tick, d) for s, d in zip(sessions, done_tick)]
         dt = self.dt
-        # Lanes with one epoch grid, one duration, and static loads stay
-        # in lockstep for the whole run (their dt-paced counters get
-        # identical folds, and nothing batchable ends a lane early), so
-        # one lane's span prediction serves the batch.
-        homog = self._homog = (
-            len(set(done_tick)) == 1
-            and len({(s.spec.epoch_s, s.spec.epoch_offset_s)
-                     for s in sessions}) == 1
-            and not any(change_ticks)
-        )
         tick = 0
-        active = [i for i, s in enumerate(sessions) if not s.done]
+        active = list(range(len(sessions)))
         while active:
-            # Span length: min over active lanes of steps to the next
-            # change point (epoch close, completion, load change).
-            k = None
-            for i in (active[:1] if homog else active):
-                s = sessions[i]
-                n = folds.close(s.epoch_elapsed, s.epoch_target_s())
-                n_done = done_tick[i] - tick
-                if n_done < n:
-                    n = n_done
-                for m in change_ticks[i]:
-                    if m > tick and m - tick < n:
-                        n = m - tick
-                if k is None or n < k:
-                    k = n
-            if k < 1:
+            # The span ends at the earliest change point of any lane.
+            end = min([due[i] for i in active])
+            for i in changing:
+                for c in change_ticks[i]:
+                    if tick < c < end:
+                        end = c
+            if end <= tick:
                 raise RuntimeError(
-                    "batch span prediction collapsed to zero steps"
-                )
+                    "batch span prediction collapsed to zero steps")
             t0 = perf_counter()
-            self._advance_span(active, tick, k)
-            tick += k
-            now = tick * dt
+            self._advance_span(active, tick, end - tick)
+            tick = end
             t1 = perf_counter()
-            for i in active:
-                engines[i].clock.tick = tick
-            if homog:
-                # Lockstep lanes share every dt-paced fold: they close
-                # (and finish) together, so one lane answers for all.
-                s = sessions[active[0]]
-                closers = (
-                    list(active)
-                    if s.epoch_elapsed >= s.epoch_target_s() - 1e-9
-                    or s.done
-                    else []
-                )
-            else:
-                closers = []
-                for i in active:
-                    s = sessions[i]
-                    if s.epoch_elapsed >= s.epoch_target_s() - 1e-9 or s.done:
-                        closers.append(i)
-            if closers:
-                recs = close_epochs([sessions[i] for i in closers], now)
-                t2 = perf_counter()
-                if homog:
-                    # Lockstep lanes finish together: lane 0's done
-                    # state answers for every closer.
-                    items = ([] if sessions[closers[0]].done else [
-                        (i, engines[i], sessions[i], rec)
-                        for i, rec in zip(closers, recs)
-                    ])
-                else:
-                    items = [
-                        (i, engines[i], sessions[i], rec)
-                        for i, rec in zip(closers, recs)
-                        if not sessions[i].done
-                    ]
-                self.dispatcher.dispatch(items)
-                t3 = perf_counter()
-                self.phase_s["close"] += t2 - t1
-                self.phase_s["dispatch"] += t3 - t2
             self.phase_s["span"] += t1 - t0
-            # Batched lanes only finish by duration (finite-bytes and
-            # fault-schedule lanes never batch), so lockstep lanes all
-            # end at the shared done tick — skip the property churn.
-            if not homog or tick >= done_tick[active[0]]:
-                active = [i for i in active if not sessions[i].done]
+            closers = [i for i in active if due[i] == tick]
+            if not closers:
+                continue
+            recs = close_epochs([sessions[i] for i in closers], tick * dt)
+            for i in closers:
+                clocks[i].tick = tick
+                nxt = tick + sessions[i].close_tick
+                due[i] = nxt if nxt < done_tick[i] else done_tick[i]
+            t2 = perf_counter()
+            self.dispatcher.dispatch([
+                (i, engines[i], sessions[i], rec)
+                for i, rec in zip(closers, recs)
+                if tick < done_tick[i]
+            ])
+            self.phase_s["close"] += t2 - t1
+            self.phase_s["dispatch"] += perf_counter() - t2
+            active = [i for i in active if tick < done_tick[i]]
         self._materialize()
         return [{s.name: s.trace} for s in self._sessions]
 
@@ -266,12 +223,12 @@ class BatchEngine:
         key = (self._groups[i], load, s.params)
         hit = self._alloc_memo.get(key)
         if hit is None:
-            saved = s.restart_remaining
-            s.restart_remaining = 0.0  # force the live configuration
+            saved = s.dead_ticks
+            s.dead_ticks = 0  # force the live configuration
             try:
                 cmp_frac, alloc, eta = e._allocation_phase(load)
             finally:
-                s.restart_remaining = saved
+                s.dead_ticks = saved
             hit = (cmp_frac, alloc.get(s.name), eta)
             self._alloc_memo[key] = hit
         return hit
@@ -281,7 +238,6 @@ class BatchEngine:
         lane = self._lane
         groups = self._groups
         alloc_get = self._alloc_memo.get
-        folds = self.folds
         L = len(active)
         t0 = tick0 * dt
         t_row = (tick0 + np.arange(k)) * dt
@@ -303,15 +259,10 @@ class BatchEngine:
         buf_rows: list[int] = []
         z_loc = np.zeros(L)
         z_sig = np.zeros(L)
-        # Lockstep lanes share every dt-paced counter: fold once.
-        hoisted = None
-        if self._homog:
-            s0 = self._sessions[active[0]]
-            hoisted = (folds.add(s0.epoch_elapsed, k),
-                       folds.add(s0.state.elapsed_s, k))
         # Restart-prefix flag rows are tiny and read-only downstream
-        # (materialize just iterates them) — share one list per shape.
-        flag_cache = self._flag_cache
+        # (materialize just iterates them) — rows with the same prefix
+        # length share one list.
+        shared_flags: list = [None] * (k + 1)
 
         for row, i in enumerate(active):
             e, s, sched_at, sigma, tau_i, jit_gen, const_load = lane[i]
@@ -329,40 +280,27 @@ class BatchEngine:
             tss0_l.append(s.time_since_start)
             er0_l.append(s.epoch_run_s)
             eb0_l.append(s.epoch_bytes)
-            # The dt-paced counters need no matrix: fold them directly.
-            if hoisted is not None:
-                s.epoch_elapsed, s.state.elapsed_s = hoisted
-            else:
-                s.epoch_elapsed = folds.add(s.epoch_elapsed, k)
-                s.state.elapsed_s = folds.add(s.state.elapsed_s, k)
+            s.advance_ticks(k)
 
-            # Restart prefix: dead while restart_remaining >= dt, then
-            # dt - rr on the first live step — SpanFolds' dead and sub
-            # folds fused and capped at the span, inline because a
-            # restart window is a fresh random value every epoch and
-            # memoizing it buys nothing.
-            rr = s.restart_remaining
-            fm = 0
-            while fm < k and rr >= dt:
-                rr -= dt
-                fm += 1
+            # Restart prefix: the window's dead ticks inside the span,
+            # then dt - lead_s on the first live step.
+            dead = s.dead_ticks
+            fm = dead if dead < k else k
             if fm:
                 RS[row, :fm] = 0.0
+            nflag = fm
             if fm < k:
-                if rr > 0.0:
-                    RS[row, fm] = dt - rr
-                    nflag = fm + 1
-                else:
-                    nflag = fm
-                s.restart_remaining = 0.0
+                if s.lead_s > 0.0:
+                    RS[row, fm] = dt - s.lead_s
+                    nflag += 1
+                    s.lead_s = 0.0
+                s.dead_ticks = 0
             else:
-                nflag = fm
-                s.restart_remaining = rr
-            flags = flag_cache.get((nflag, k))
+                s.dead_ticks = dead - k
+            flags = shared_flags[nflag]
             if flags is None:
-                flags = flag_cache[(nflag, k)] = (
-                    [True] * nflag + [False] * (k - nflag)
-                )
+                flags = shared_flags[nflag] = (
+                    [True] * nflag + [False] * (k - nflag))
             flag_rows.append(flags)
 
             if rate is None:

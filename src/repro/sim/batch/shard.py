@@ -14,11 +14,11 @@ max-min allocation and share one ``throughput_noise`` stream.
 Coupling changes the span rules:
 
 * a span breaks wherever the allocation can change, which now includes
-  any lane's restart window crossing the one-step threshold (a lane
-  going dead/live changes every *other* lane's rate, not just its
-  own), on top of the epoch-close / duration-done / load-change breaks
-  BatchEngine predicts.  Within a span the allocation is constant and
-  is computed once with the engine's own ``_allocation_phase``;
+  any lane's last dead restart step (a lane going live changes every
+  *other* lane's rate, not just its own), on top of the epoch-close /
+  duration-done / load-change breaks BatchEngine predicts.  Within a
+  span the allocation is constant and is computed once with the
+  engine's own ``_allocation_phase``;
 * the scalar loop draws step jitter *step-major* (each step, every
   live-and-allocated session in session order) from the one shared
   stream.  One sized ``normal(size=k*m)`` reshaped ``(k, m)`` and
@@ -32,10 +32,12 @@ Coupling changes the span rules:
   consume no RNG and touch only their own session.
 
 The arithmetic inside a span is the one matrix chain,
-:func:`_span_chain`, which BatchEngine calls too, and the span
-boundaries come from the one set of counter folds,
-:class:`~repro.sim.clock.SpanFolds`, so the scalar engine remains the
-single bit-exactness reference for both batch paths.
+:func:`_span_chain`, which BatchEngine calls too.  Span boundaries are
+integer tick arithmetic on the sessions' step counters (epoch ticks to
+the close tick, transfer ticks to the done tick, dead restart steps,
+and the schedule's change ticks from
+:func:`~repro.sim.clock.boundary_tick`), so the scalar engine remains
+the single bit-exactness reference for both batch paths.
 
 Membership (attach/reap) happens *between* windows in the fleet's pump
 loop, and anything the span solver cannot express — an **active**
@@ -55,7 +57,7 @@ from itertools import repeat
 import numpy as np
 
 from repro.sim.batch.closing import close_epochs
-from repro.sim.clock import SpanFolds
+from repro.sim.clock import boundary_tick
 from repro.sim.engine import Engine
 from repro.sim.trace import StepRecord
 from repro.units import MB
@@ -75,7 +77,6 @@ class ShardSpanEngine:
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self.dt: float = engine.config.dt
-        self.folds = SpanFolds(self.dt)
         self._change_ticks: list[int] | None = None
         #: Histogram of realized lane widths: {live lanes -> spans run
         #: at that width}.  The bench reports this distribution.
@@ -86,30 +87,24 @@ class ShardSpanEngine:
         resolve the shared schedule's change ticks."""
         self.engine._ensure_started()
         if self._change_ticks is None:
-            self._change_ticks = self.folds.change_ticks(
-                self.engine.schedule
-            )
+            self._change_ticks = [
+                boundary_tick(c, self.dt)
+                for c in self.engine.schedule.change_times
+            ]
 
     def span_len(self, active: list, tick: int, kmax: int) -> int:
         """Longest span from ``tick`` (at most ``kmax``) on which no
-        lane hits a change point — epoch close, duration done, restart
-        crossing — and the shared load stays constant."""
+        lane hits a change point — epoch close, duration done, last dead
+        restart step — and the shared load stays constant."""
         k = kmax
-        dt = self.dt
-        folds = self.folds
         for s in active:
-            m = folds.close(s.epoch_elapsed, s.epoch_target_s())
+            m = min(s.close_tick - s.epoch_ticks,
+                    s.done_tick - s.state.ticks)
             if m < k:
                 k = m
-            limit = s.spec.max_duration_s
-            if limit is not None:
-                m = folds.done(s.state.elapsed_s, limit)
-                if m < k:
-                    k = m
-            if s.restart_remaining >= dt:
-                m = folds.dead(s.restart_remaining)
-                if m < k:
-                    k = m
+            m = s.dead_ticks
+            if m and m < k:
+                k = m
         for m in self._change_ticks:
             if m > tick and m - tick < k:
                 k = m - tick
@@ -124,9 +119,8 @@ class ShardSpanEngine:
         e = self.engine
         closers = []
         for s in e.sessions:
-            if s.epoch_elapsed <= 0:
-                continue
-            if s.epoch_elapsed >= s.epoch_target_s() - 1e-9 or s.done:
+            ticks = s.epoch_ticks
+            if ticks and (ticks >= s.close_tick or s.done):
                 closers.append(s)
         if not closers:
             return []
@@ -161,9 +155,9 @@ class ShardSpanEngine:
             e._dispatch_epoch(s, rec, noise=noise, rjit=rjit)
 
     def collect_span(self, active: list, tick0: int, k: int):
-        """Phase 1 of a span: fold the dt-paced counters, append dead
-        rows' records, draw the live rows' step jitter, and gather the
-        matrix-chain inputs.  Returns None when no live row needs the
+        """Phase 1 of a span: count ``k`` ticks on every lane, append
+        dead rows' records, draw the live rows' step jitter, and gather
+        the matrix-chain inputs.  Returns None when no live row needs the
         chain, else a context dict for :func:`_span_chain` /
         :meth:`commit_span`.
 
@@ -176,9 +170,8 @@ class ShardSpanEngine:
         dt = self.dt
         load = e.schedule.at(tick0 * dt)
         self.lane_widths[len(active)] += 1
-        folds = self.folds
 
-        live = [s for s in active if s.restart_remaining < dt]
+        live = [s for s in active if not s.dead_ticks]
         if not live and load.ext_cmp == 0 and load.ext_tfr == 0:
             # All lanes dead under a purely endogenous load:
             # ``_allocation_phase`` provably returns exactly
@@ -193,20 +186,19 @@ class ShardSpanEngine:
         # step of this span (restart dead time reads it at dispatch).
         e._last_cmp_frac = cmp_frac
 
-        # Dead rows (restart window >= one full step across the whole
-        # span — the span breaks at every lane's dead-prefix end) need
-        # no matrix: every scalar-path output is an exact zero
-        # (moved = 0.0, run_s = 0.0, and x + 0.0 == x for the
-        # nonnegative accumulators), so only the dt-paced counters
-        # fold and the all-restarting records append.
+        # Dead rows (dead restart steps across the whole span — the
+        # span breaks at every lane's last dead step) need no matrix:
+        # every scalar-path output is an exact zero (moved = 0.0,
+        # run_s = 0.0, and x + 0.0 == x for the nonnegative
+        # accumulators), so only the tick counters move and the
+        # all-restarting records append.
         if len(live) < len(active):
             t_dead = ((tick0 + np.arange(k)) * dt).tolist()
             for s in active:
-                if s.restart_remaining < dt:
+                if not s.dead_ticks:
                     continue
-                s.epoch_elapsed = folds.add(s.epoch_elapsed, k)
-                s.state.elapsed_s = folds.add(s.state.elapsed_s, k)
-                s.restart_remaining = folds.sub(s.restart_remaining, k)
+                s.advance_ticks(k)
+                s.dead_ticks -= k
                 s.trace.steps.extend(map(
                     tuple.__new__, repeat(StepRecord),
                     zip(t_dead, repeat(0.0), repeat(True),
@@ -235,19 +227,16 @@ class ShardSpanEngine:
             tss0[row] = s.time_since_start
             er0[row] = s.epoch_run_s
             eb0[row] = s.epoch_bytes
-            # dt-paced counters need no matrix: fold them directly with
-            # the scalar loop's exact sequential accumulation.
-            s.epoch_elapsed = folds.add(s.epoch_elapsed, k)
-            s.state.elapsed_s = folds.add(s.state.elapsed_s, k)
+            s.advance_ticks(k)
 
-            rr = s.restart_remaining
-            if rr > 0.0:
-                # Partial first step; live (and below one step) after.
-                RS[row, 0] = dt - rr
+            lead = s.lead_s
+            if lead > 0.0:
+                # Partial first step; fully live after.
+                RS[row, 0] = dt - lead
                 nflags.append(1)
+                s.lead_s = 0.0
             else:
                 nflags.append(0)
-            s.restart_remaining = 0.0
             rate = alloc.get(s.name)
             if rate is None:
                 # Live but absent from the allocation (no flow group):

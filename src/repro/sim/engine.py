@@ -60,7 +60,7 @@ from repro.obs.events import (
     TunerReject,
 )
 from repro.obs.instrument import publish_epoch_record
-from repro.sim.clock import SimClock, SpanFolds
+from repro.sim.clock import SimClock
 from repro.noise import lognormal_factor
 from repro.sim.rng import RngStreams
 from repro.sim.session import TransferSession
@@ -78,6 +78,18 @@ EXT_TFR = "ext.tfr"
 #: Shared empty jitter buffer (an exhausted batch and "no batch" are the
 #: same state: fall back to scalar draws).
 _NO_JITTER = np.empty(0)
+
+#: :meth:`Engine.snapshot` layout.  2 holds the sessions' tick counts;
+#: 1 held float seconds, which cannot round-trip them at every dt.
+SNAPSHOT_FORMAT = 2
+
+
+def check_snapshot_format(state: dict) -> None:
+    """Raise ``ValueError`` unless this version can restore ``state``."""
+    if state.get("format") != SNAPSHOT_FORMAT:
+        raise ValueError(
+            f"unsupported engine snapshot format {state.get('format')!r}; "
+            f"this version resumes format {SNAPSHOT_FORMAT} only")
 
 
 @dataclass(frozen=True)
@@ -256,9 +268,9 @@ class Engine:
         for s in self.sessions:
             if s.driver is None and s.name not in self._controller_of:
                 self._check_sink_session(s)
+            s.bind_dt(self.config.dt)
 
         self.clock = SimClock(self.config.dt)
-        self._folds = SpanFolds(self.config.dt)
         self.rng = RngStreams(self.config.seed)
         # The per-epoch dispatch draws always touch these three streams;
         # resolve them once (generator identity survives set_state, which
@@ -369,6 +381,7 @@ class Engine:
         self.topology.path(s.spec.path_name)  # validates existence
         if s.driver is None:
             self._check_sink_session(s)
+        s.bind_dt(self.config.dt)
         self._batch_jitter = False
         self.sessions.append(s)
         self._by_name[name] = s
@@ -445,7 +458,7 @@ class Engine:
             self._step()
         finished = all(s.done for s in self.sessions)
         for s in self.sessions:
-            if s.epoch_elapsed > 0:
+            if s.epoch_ticks:
                 rec = s.close_epoch(start_time=self.clock.now - s.epoch_elapsed)
                 # A partial epoch flushed by an early ``until_s`` stop is
                 # not journaled: the journal must hold only epochs the
@@ -477,7 +490,7 @@ class Engine:
                 "would include draws the step loop has not consumed yet"
             )
         return {
-            "format": 1,
+            "format": SNAPSHOT_FORMAT,
             "tick": self.clock.tick,
             "last_cmp_frac": self._last_cmp_frac,
             "rng": self.rng.get_state(),
@@ -500,10 +513,7 @@ class Engine:
         driver with a replayed one *before* calling this (the snapshot
         carries no tuner state).
         """
-        if state.get("format") != 1:
-            raise ValueError(
-                f"unsupported snapshot format {state.get('format')!r}"
-            )
+        check_snapshot_format(state)
         names = set(state["sessions"])
         if names != set(self._by_name):
             raise ValueError(
@@ -661,7 +671,6 @@ class Engine:
         ``(done, restarting, params)``.  Returns ``(cmp_frac, alloc,
         eta)``.
         """
-        dt = self.config.dt
         # One walk computes each session's derived parameter values:
         # ``nc``/``np_``/``streams`` re-derive from the param map on
         # every property access, and at fleet population sizes those
@@ -688,7 +697,7 @@ class Engine:
         cmp_frac = shares.get(EXT_CMP, 0.0) / self.host.cores
 
         # Sessions that will push bytes during (part of) this step.
-        live = [t for t in alive if t[0].restart_remaining < dt]
+        live = [t for t in alive if not t[0].dead_ticks]
 
         # Total streams per path -> effective loss -> per-stream caps.
         path_streams: dict[str, int] = {}
@@ -759,15 +768,15 @@ class Engine:
         if self.config.fast_path:
             # Change-point key: everything the allocation phase reads
             # that can change mid-run.  The external load covers
-            # schedule transitions; per-session (done, restarting,
-            # params) covers epoch dispatch (parameter adoption),
-            # restart windows crossing the one-step threshold, breaker
-            # fallbacks (they act through params and restarts), and
-            # session start/stop.  Topology/host/client are immutable.
+            # schedule transitions; per-session (done, live, params)
+            # covers epoch dispatch (parameter adoption), restart
+            # windows' last dead step, breaker fallbacks (they act
+            # through params and restarts), and session start/stop.
+            # Topology/host/client are immutable.
             key = (
                 load,
                 tuple(
-                    (s.done, s.restart_remaining < dt, s.params)
+                    (s.done, not s.dead_ticks, s.params)
                     for s in self.sessions
                 ),
             )
@@ -796,7 +805,8 @@ class Engine:
         for s in self.sessions:
             if s.done:
                 continue
-            run_s = dt - max(0.0, min(s.restart_remaining, dt))
+            dead = s.dead_ticks
+            run_s = 0.0 if dead else dt - s.lead_s
             moved = 0.0
             if run_s > 0 and s.name in alloc:
                 ramp = _ramp_average(taus[s.name], s.time_since_start, run_s)
@@ -816,8 +826,11 @@ class Engine:
             else:
                 s.state.account(0.0, dt)
             s.record_step(time=t, rate=moved / MB / dt, bytes_moved=moved)
-            s.restart_remaining = max(0.0, s.restart_remaining - dt)
-            s.epoch_elapsed += dt
+            if dead:
+                s.dead_ticks = dead - 1
+            else:
+                s.lead_s = 0.0
+            s.epoch_ticks += 1
             s.epoch_run_s += run_s
             s.epoch_bytes += moved
         self._jit_pos = jit_pos
@@ -832,13 +845,10 @@ class Engine:
             _t0 = spans.now()
         closed: list[tuple[TransferSession, EpochRecord]] = []
         for s in self.sessions:
-            if s.epoch_elapsed <= 0:
+            ticks = s.epoch_ticks
+            if not ticks:
                 continue
-            target = s.spec.epoch_s
-            if s.epoch_index == 0:
-                target += s.spec.epoch_offset_s
-            boundary = s.epoch_elapsed >= target - 1e-9
-            if not boundary and not s.done:
+            if ticks < s.close_tick and not s.done:
                 continue
             rec = s.close_epoch(start_time=now - s.epoch_elapsed)
             closed.append((s, rec))
@@ -900,27 +910,18 @@ class Engine:
         """Count the step-jitter draws between now and the end of the
         step on which the next epoch closes (inclusive).
 
-        The span is the fewest steps until any live session closes its
-        epoch or reaches its duration limit, replayed with the step
-        loop's own ``+= dt`` folds (:class:`~repro.sim.clock.SpanFolds`)
-        so boundaries land on the same step; a session draws one jitter
-        per span step past its restart window's dead prefix.  Only
-        called for duration-limited sessions (infinite bytes), whose
-        completion does not depend on the bytes moved.
+        The span is the fewest steps until any live session's epoch
+        ticks reach its close tick or its transfer ticks its done tick;
+        a session draws one jitter per span step past its restart
+        window's dead steps.  Only called for duration-limited sessions
+        (infinite bytes), whose completion does not depend on the bytes
+        moved.
         """
-        folds = self._folds
         live = [s for s in self.sessions if not s.done]
-        horizons = []
-        for s in live:
-            m = folds.close(s.epoch_elapsed, s.epoch_target_s())
-            limit = s.spec.max_duration_s
-            if limit is not None:
-                # Fold elapsed_s no further than this session's close.
-                m = folds.done(s.state.elapsed_s, limit, m)
-            horizons.append(m)
-        n = max(1, min(horizons, default=0))
-        return sum(n - min(n, folds.dead(s.restart_remaining))
-                   for s in live)
+        n = max(1, min((min(s.close_tick - s.epoch_ticks,
+                            s.done_tick - s.state.ticks) for s in live),
+                       default=0))
+        return sum(n - min(n, s.dead_ticks) for s in live)
 
     def _dispatch_epoch(
         self, s: TransferSession, rec, *,

@@ -5,6 +5,10 @@ A :class:`TransferSession` binds together one transfer
 the mapping from tuner parameters to ``(nc, np)``, and the per-epoch
 runtime state the engine advances (restart window, ramp clock, epoch
 accumulators, trace).
+
+The dt-paced clocks (transfer, epoch, restart window) are integer step
+counts, read as seconds through ``ticks * dt``, so every engine path
+meets epoch closes, completions and restart ends on the same step.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from repro.faults.events import OBS_LOSS, STREAM_CRASH
 from repro.faults.retry import RetryPolicy, RetryState
 from repro.faults.schedule import FaultSchedule
 from repro.gridftp.transfer import TransferSpec, TransferState
+from repro.sim.clock import boundary_tick
 from repro.sim.trace import EpochRecord, StepRecord, Trace
 from repro.sim.traceio import step_from_dict, step_to_dict
 
@@ -158,13 +163,15 @@ class TransferSession:
         self.state = TransferState(spec)
         self.trace = Trace(label=spec.name)
 
-        # Restart / ramp clocks (seconds).
-        self.restart_remaining: float = 0.0
+        # Restart window: ``dead_ticks`` whole steps that move nothing,
+        # then ``lead_s`` dead seconds opening the first live step.
+        self.dead_ticks: int = 0
+        self.lead_s: float = 0.0
         self.time_since_start: float = 0.0
 
         # Epoch accumulators.
         self.epoch_index: int = 0
-        self.epoch_elapsed: float = 0.0
+        self.epoch_ticks: int = 0
         self.epoch_run_s: float = 0.0
         self.epoch_bytes: float = 0.0
         self.noise_factor: float = 1.0
@@ -177,6 +184,22 @@ class TransferSession:
         #: current (partial) epoch begins.
         self.last_epoch_steps: list[StepRecord] = []
         self._epoch_step_mark: int = 0
+        self.bind_dt(1.0)
+
+    def bind_dt(self, dt: float) -> None:
+        """Pace the clocks in ``dt``-second steps (the adopting engine
+        binds its own) and resolve the boundaries to ticks."""
+        spec = self.spec
+        self.dt = dt
+        self._first_close = boundary_tick(
+            spec.epoch_s + spec.epoch_offset_s - 1e-9, dt)
+        self._later_close = boundary_tick(spec.epoch_s - 1e-9, dt)
+        #: Epoch tick that closes the current control epoch.
+        self.close_tick = (self._first_close if self.epoch_index == 0
+                           else self._later_close)
+        #: Transfer tick that reaches the duration limit (None: unbounded).
+        self.done_tick = (None if spec.max_duration_s is None
+                          else boundary_tick(spec.max_duration_s, dt))
 
     def _check_dims(self) -> None:
         for dim in (self.param_map.nc_dim, self.param_map.np_dim,
@@ -215,7 +238,17 @@ class TransferSession:
 
     @property
     def restarting(self) -> bool:
-        return self.restart_remaining > 0.0
+        return self.dead_ticks > 0 or self.lead_s > 0.0
+
+    @property
+    def restart_remaining(self) -> float:
+        """Seconds left in the restart window."""
+        return self.dead_ticks * self.dt + self.lead_s
+
+    @property
+    def epoch_elapsed(self) -> float:
+        """Seconds elapsed in the current control epoch."""
+        return self.epoch_ticks * self.dt
 
     def disk_cap(self) -> float:
         """Extra cap from the disk model, or +inf when memory-to-memory."""
@@ -290,7 +323,7 @@ class TransferSession:
 
     def close_epoch(self, start_time: float) -> EpochRecord:
         """Summarize the finished epoch into the trace and return it."""
-        if self.epoch_elapsed <= 0:
+        if self.epoch_ticks <= 0:
             raise ValueError("cannot close an empty epoch")
         mb = self.epoch_bytes / 1e6
         observed = mb / self.epoch_elapsed
@@ -320,7 +353,8 @@ class TransferSession:
         self.last_epoch_steps = self.trace.steps[self._epoch_step_mark:]
         self._epoch_step_mark = len(self.trace.steps)
         self.epoch_index += 1
-        self.epoch_elapsed = 0.0
+        self.epoch_ticks = 0
+        self.close_tick = self._later_close
         self.epoch_run_s = 0.0
         self.epoch_bytes = 0.0
         return rec
@@ -343,10 +377,20 @@ class TransferSession:
             return True, warm
         return False, False
 
+    def advance_ticks(self, k: int) -> None:
+        """Count ``k`` steps on the epoch and transfer clocks at once."""
+        self.epoch_ticks += k
+        state = self.state
+        state.ticks += k
+        state.elapsed_s = state.ticks * self.dt
+
     def begin_restart(self, dead_time_s: float) -> None:
+        """Open a restart window: whole dead steps, then the remainder
+        at the start of the first live step."""
         if dead_time_s < 0:
             raise ValueError("dead_time_s must be non-negative")
-        self.restart_remaining = dead_time_s
+        dead, self.lead_s = divmod(dead_time_s, self.dt)
+        self.dead_ticks = int(dead)
         self.time_since_start = 0.0
 
     # -- checkpoint support --------------------------------------------------
@@ -364,11 +408,12 @@ class TransferSession:
         return {
             "params": list(self.params),
             "epoch_index": self.epoch_index,
-            "epoch_elapsed": self.epoch_elapsed,
+            "epoch_ticks": self.epoch_ticks,
             "epoch_run_s": self.epoch_run_s,
             "epoch_bytes": self.epoch_bytes,
             "noise_factor": self.noise_factor,
-            "restart_remaining": self.restart_remaining,
+            "dead_ticks": self.dead_ticks,
+            "lead_s": self.lead_s,
             "time_since_start": self.time_since_start,
             "failed": self.failed,
             "transfer": self.state.snapshot(),
@@ -401,11 +446,14 @@ class TransferSession:
             )
         self.params = tuple(int(v) for v in state["params"])
         self.epoch_index = int(state["epoch_index"])
-        self.epoch_elapsed = float(state["epoch_elapsed"])
+        self.epoch_ticks = int(state["epoch_ticks"])
+        self.close_tick = (self._first_close if self.epoch_index == 0
+                           else self._later_close)
         self.epoch_run_s = float(state["epoch_run_s"])
         self.epoch_bytes = float(state["epoch_bytes"])
         self.noise_factor = float(state["noise_factor"])
-        self.restart_remaining = float(state["restart_remaining"])
+        self.dead_ticks = int(state["dead_ticks"])
+        self.lead_s = float(state["lead_s"])
         self.time_since_start = float(state["time_since_start"])
         self.failed = bool(state["failed"])
         self.state.restore(state["transfer"])

@@ -76,6 +76,25 @@ def _truncate_after(path, n_epochs: int) -> None:
         f.writelines(kept)
 
 
+def _as_format_1(path) -> None:
+    """Rewrite every snapshot in the float-seconds layout of the format-1
+    engine (``epoch_elapsed``/``restart_remaining``, no tick counts) —
+    the on-disk state an earlier version of the engine left behind."""
+    lines = []
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        if rec["kind"] == "snapshot":
+            state = rec["state"]
+            state["format"] = 1
+            for sess in state["sessions"].values():
+                sess["epoch_elapsed"] = float(sess.pop("epoch_ticks"))
+                sess["restart_remaining"] = (
+                    sess.pop("dead_ticks") + sess.pop("lead_s"))
+                del sess["transfer"]["ticks"]
+        lines.append(json.dumps(rec, separators=(",", ":")))
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestSimResumeBitIdentity:
     @pytest.mark.parametrize("tuner_name", ["nm", "cs", "bandit"])
     @pytest.mark.parametrize("cut", [1, 7, 13])
@@ -138,6 +157,16 @@ class TestJournalGuards:
             w.write_snapshot({"tick": 0})
         with pytest.raises(ValueError, match="header"):
             resume_run(path)
+
+    def test_format_1_snapshot_is_refused_untouched(self, tmp_path):
+        path = tmp_path / "run.jnl"
+        _journaled(path, "nm", seed=0)
+        _truncate_after(path, 7)
+        _as_format_1(path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="snapshot format 1"):
+            resume_run(path)
+        assert path.read_bytes() == before
 
     def test_unknown_scenario_in_header(self, tmp_path):
         path = tmp_path / "run.jnl"

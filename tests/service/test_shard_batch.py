@@ -177,38 +177,49 @@ class TestFallbackReasonDedup:
 
 
 class TestCrossShardFusion:
-    def _fleet(self, *, fusion: bool, batch: bool = True):
+    NAMES = ["anl-uc", "anl-tacc"]
+
+    def _fleet(self, *, batch: bool = True, names=None, seed: int = 2):
         from repro.service import FleetService
 
-        names = ["anl-uc", "anl-tacc"]
+        names = self.NAMES if names is None else names
         fleet = FleetService(
-            {n: SCENARIOS[n] for n in names}, seed=2, dt=1.0,
-            epoch_s=EPOCH_S, batch=batch, fusion=fusion,
+            {n: SCENARIOS[n] for n in names}, seed=seed, dt=1.0,
+            epoch_s=EPOCH_S, batch=batch,
         )
         i = 0
-        for n in names:
+        for n in self.NAMES:
             for tuner in ("cd", "nm"):
                 i += 1
-                fleet.submit({"tenant": f"f{i}", "scenario": n,
-                              "tuner": tuner, "seed": i,
-                              "epochs": 3 + (i % 2)})
+                if n in names:
+                    fleet.submit({"tenant": f"f{i}", "scenario": n,
+                                  "tuner": tuner, "seed": i,
+                                  "epochs": 3 + (i % 2)})
         fleet.drive()
         return fleet
 
     def test_fused_fleet_is_bit_identical_to_unfused_and_scalar(self):
-        fused = self._fleet(fusion=True)
-        plain = self._fleet(fusion=False)
-        scalar = self._fleet(fusion=False, batch=False)
+        fused = self._fleet()
+        scalar = self._fleet(batch=False)
+        # Unfused: each scenario alone in a singleton fleet (which never
+        # fuses), seeded as the two-shard fleet seeds that shard
+        # (sorted scenario order: anl-tacc, then anl-uc).
+        plain = {}
+        for offset, n in enumerate(sorted(self.NAMES)):
+            solo = self._fleet(names=[n], seed=2 + offset)
+            assert solo.status()["fusion"]["rounds"] == 0
+            plain.update(solo.tenants)
+        assert fused.status()["fusion"]["rounds"] > 0
         for name in fused.tenants:
             a = fused.tenants[name].records
-            assert a == plain.tenants[name].records, name
+            assert a == plain[name].records, name
             assert a == scalar.tenants[name].records, name
 
     def test_fusion_surfaces_in_status_and_metrics(self):
-        fleet = self._fleet(fusion=True)
+        fleet = self._fleet()
         doc = fleet.status()
         fusion = doc["fusion"]
-        assert fusion["enabled"] is True
+        assert "enabled" not in fusion
         assert fusion["rounds"] > 0
         assert fusion["chains"] > 0
         assert fusion["rows"] >= fusion["chains"]
@@ -233,7 +244,7 @@ class TestCrossShardFusion:
         from repro.service import FleetService
 
         fleet = FleetService({"anl-uc": SCENARIOS["anl-uc"]}, seed=2,
-                             dt=1.0, epoch_s=EPOCH_S, fusion=True)
+                             dt=1.0, epoch_s=EPOCH_S)
         fleet.submit({"tenant": "solo", "scenario": "anl-uc",
                       "tuner": "cd", "seed": 0, "epochs": 2})
         fleet.drive()
@@ -253,11 +264,11 @@ class TestCrossShardFusion:
         never-fused twins throughout."""
         from repro.service import FleetService
 
-        def build(fusion):
+        def build(batch):
             names = ["anl-uc", "anl-tacc"]
             fleet = FleetService({n: SCENARIOS[n] for n in names},
                                  seed=4, dt=1.0, epoch_s=EPOCH_S,
-                                 batch=fusion, fusion=fusion)
+                                 batch=batch)
             for i, n in enumerate(names):
                 for j in range(3):
                     fleet.submit({"tenant": f"x{i}{j}", "scenario": n,

@@ -6,7 +6,7 @@ with no tolerance — to the scalar :func:`run_single` call with the same
 arguments.  These tests pin that contract across the tuner matrix on
 both stock scenarios with the fast path on and off, across
 heterogeneous populations (mixed tuners, durations, load schedules, a
-2-D ``tune_np`` lane), at step sizes whose ``+= dt`` counters drift,
+2-D ``tune_np`` lane), at step sizes no binary fraction represents,
 and across the automatic per-run scalar fallback, plus the
 :class:`BatchEngine` construction-time validation.
 """
@@ -237,7 +237,7 @@ def _lane(dt, tuner_name, seed, *, offset=0.0, duration=DURATION,
     )
 
 
-def _drifting_lanes(dt, mix):
+def _non_dyadic_lanes(dt, mix):
     """Lockstep seed replicates, or lanes mixing tuners, epoch offsets,
     durations and a load schedule whose changes fall between ticks."""
     if mix == "lockstep":
@@ -258,11 +258,11 @@ def _drifting_lanes(dt, mix):
 @pytest.mark.parametrize("mix", ["lockstep", "mixed"])
 @pytest.mark.parametrize("dt", [0.1, 0.3, 0.7])
 def test_non_dyadic_step_sizes_are_bit_identical(dt, mix):
-    """At these step sizes the loop's ``+= dt`` counters drift from
-    ``n * dt``: batch lanes must replay the drift to close epochs,
-    finish and change load on the scalar loop's tick."""
-    refs = [e.run()["main"] for e in _drifting_lanes(dt, mix)]
-    got = BatchEngine(_drifting_lanes(dt, mix)).run()
+    """At step sizes no binary fraction represents, batch lanes must
+    close epochs, finish and change load on the scalar loop's tick: the
+    same boundary rule, evaluated once per span instead of per step."""
+    refs = [e.run()["main"] for e in _non_dyadic_lanes(dt, mix)]
+    got = BatchEngine(_non_dyadic_lanes(dt, mix)).run()
     for ref, traces in zip(refs, got):
         assert_bit_identical(ref, traces["main"])
 

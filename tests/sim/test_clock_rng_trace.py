@@ -1,11 +1,15 @@
 """Unit tests for the simulation kernel primitives."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core.base import StaticTuner
+from repro.experiments.runner import make_session
 from repro.noise import lognormal_factor
 from repro.endpoint.load import ExternalLoad, LoadSchedule
-from repro.sim.clock import SimClock, SpanFolds
+from repro.sim.clock import SimClock, boundary_tick
 from repro.sim.rng import STREAM_NAMES, RngStreams
 from repro.sim.trace import EpochRecord, StepRecord, Trace
 
@@ -32,29 +36,23 @@ class TestSimClock:
             SimClock().advance(-1)
 
 
-class TestSpanFolds:
-    """The folds replay the step loop's float counters, drift included."""
+class TestBoundaryTick:
+    """One rule resolves every threshold to a tick: the first ``n >= 1``
+    with ``n * dt >= t``."""
 
-    def test_folds_keep_the_loop_drift(self):
-        f = SpanFolds(0.1)
-        # 3000 x ``+= 0.1`` falls short of 300, so the duration limit
-        # costs one step more than 300 / dt.
-        assert f.add(0.0, 3000) == 299.9999999999997
-        assert f.done(0.0, 300.0) == 3001
-        assert f.done(0.0, 300.0, 50) == 50
-        # The epoch boundary test carries a 1e-9 tolerance.
-        assert f.close(0.0, 30.0) == 300
-
-    def test_restart_folds_match_the_loop_decay(self):
-        f = SpanFolds(0.1)
-        rr = 0.35
-        steps = []
-        while rr >= 0.1:
-            steps.append(rr)
-            rr = max(0.0, rr - 0.1)
-        assert f.dead(0.35) == len(steps) == 3
-        assert f.sub(0.35, 3) == rr
-        assert f.sub(0.35, 5) == 0.0
+    def test_limits_land_on_whole_steps(self):
+        # 3000 x ``+= 0.1`` falls short of 300; 3000 * 0.1 does not, so
+        # a 300 s transfer ends on step 3000 and a 30 s epoch on 300.
+        assert boundary_tick(300.0, 0.1) == 3000
+        assert boundary_tick(30.0 - 1e-9, 0.1) == 300
+        assert boundary_tick(30.0 - 1e-9, 0.3) == 100
+        assert boundary_tick(30.0, 0.7) == 43  # 42 * 0.7 < 30
+        assert boundary_tick(0.0, 0.25) == 1  # never before the first step
+        for dt in (0.1, 0.3, 0.7, 1.0, 0.25):
+            for t in (0.05, 29.999999999, 95.35, 171.0, 1800.0):
+                n = boundary_tick(t, dt)
+                assert n * dt >= t
+                assert n == 1 or (n - 1) * dt < t
 
     def test_change_ticks_follow_schedule_lookup(self):
         sched = LoadSchedule([
@@ -63,10 +61,43 @@ class TestSpanFolds:
             (171.0, ExternalLoad()),
         ])
         for dt in (0.1, 0.3, 0.7):
-            ticks = SpanFolds(dt).change_ticks(sched)
+            ticks = [boundary_tick(c, dt) for c in sched.change_times]
             assert len(ticks) == 2
             for m in ticks:
                 assert sched.at(m * dt) != sched.at((m - 1) * dt)
+
+
+class TestRestartTicks:
+    """A restart window is whole dead steps plus a lead fraction."""
+
+    def _session(self, dt):
+        s = make_session("s", "p", StaticTuner(), duration_s=60.0)
+        s.bind_dt(dt)
+        return s
+
+    def test_divmod_splits_dead_steps_and_lead(self):
+        s = self._session(0.1)
+        s.begin_restart(0.35)
+        assert s.dead_ticks == 3
+        assert s.lead_s == math.fmod(0.35, 0.1)
+        assert 0.0 < s.lead_s < 0.1
+        assert s.restarting
+        s.begin_restart(0.0)
+        assert (s.dead_ticks, s.lead_s, s.restarting) == (0, 0.0, False)
+
+    def test_dyadic_split_matches_the_decaying_float(self):
+        # At power-of-two steps every ``rr - dt`` is exact, so the split
+        # is the one the former decaying counter reached step by step.
+        for dt in (1.0, 0.5, 0.25):
+            s = self._session(dt)
+            for dead_s in (0.35, 2.0, 7.3, 26.999):
+                rr, steps = dead_s, 0
+                while rr >= dt:
+                    rr -= dt
+                    steps += 1
+                s.begin_restart(dead_s)
+                assert (s.dead_ticks, s.lead_s) == (steps, rr)
+                assert s.restart_remaining == dead_s
 
 
 class TestRngStreams:

@@ -8,7 +8,7 @@ because all randomness is drawn from the same streams in the same
 order.  These tests pin that contract across every engine feature that
 interacts with the cache key or the draw order: tuners, faults and
 breaker transitions, varying load schedules, multi-session pairs with
-epoch offsets, step sizes whose ``+= dt`` counters drift, the joint
+epoch offsets, step sizes that no binary fraction represents, the joint
 controller, finite-byte transfers, partial ``run(until_s=...)``, zero
 noise, and crash/resume.
 """
@@ -183,9 +183,9 @@ def test_epoch_offsets_are_bit_identical():
 @pytest.mark.parametrize("kit", ["offset-pair", "faulted"])
 @pytest.mark.parametrize("dt", [0.1, 0.3, 0.7])
 def test_non_dyadic_step_sizes_are_bit_identical(dt, kit):
-    """At these step sizes the loop's ``+= dt`` counters drift from
-    ``n * dt``, so the jitter-batch prediction must replay the drift to
-    end each span on the step that closes an epoch — with offset
+    """At step sizes that no binary fraction represents, the
+    jitter-batch prediction's tick arithmetic must end each span on the
+    step the reference loop closes an epoch on — with offset
     epochs, a 30 s epoch that ``dt`` does not divide, load changes that
     fall between ticks, and retry backoff stretching restart windows."""
     load = LoadSchedule([

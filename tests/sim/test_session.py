@@ -101,7 +101,7 @@ class TestSessionBasics:
 class TestEpochAccounting:
     def test_close_epoch_computes_observed_and_best_case(self):
         s = _session()
-        s.epoch_elapsed = 30.0
+        s.epoch_ticks = 30  # 30 s at the default dt=1.0
         s.epoch_run_s = 25.0
         s.epoch_bytes = 25.0 * 100e6  # 100 MB/s while running
         rec = s.close_epoch(start_time=0.0)
@@ -111,7 +111,7 @@ class TestEpochAccounting:
 
     def test_close_epoch_resets_accumulators(self):
         s = _session()
-        s.epoch_elapsed, s.epoch_run_s, s.epoch_bytes = 30.0, 30.0, 1e9
+        s.epoch_ticks, s.epoch_run_s, s.epoch_bytes = 30, 30.0, 1e9
         s.close_epoch(start_time=0.0)
         assert (s.epoch_elapsed, s.epoch_run_s, s.epoch_bytes) == (0, 0, 0)
         assert s.epoch_index == 1
@@ -122,7 +122,7 @@ class TestEpochAccounting:
 
     def test_all_restart_epoch_best_case_zero(self):
         s = _session()
-        s.epoch_elapsed = 30.0
+        s.epoch_ticks = 30  # 30 s at the default dt=1.0
         s.epoch_run_s = 0.0
         s.epoch_bytes = 0.0
         rec = s.close_epoch(start_time=0.0)

@@ -1,0 +1,101 @@
+"""Integer-tick session clocks: epochs last exactly ``n * dt`` on every path.
+
+A session's elapsed time, epoch time and restart window are step counts,
+so at a step size that no binary fraction represents (0.1, 0.3) a
+transfer ends and an epoch closes on the step the boundary rule names —
+``n * dt >= t`` — instead of wherever repeated ``+= dt`` additions land.
+Each path that advances time (the reference loop, the fast path, a
+batch-engine lane, a fleet shard batched or scalar, a fleet service)
+must agree on that step.
+"""
+
+import pytest
+
+from repro.core.registry import make_tuner
+from repro.endpoint.load import ExternalLoad, LoadSchedule
+from repro.experiments.runner import make_session
+from repro.experiments.scenarios import ANL_UC, SCENARIOS
+from repro.service import FleetService
+from repro.service.shard import FleetShard
+from repro.service.tenant import COMPLETED, Tenant, TenantSpec
+from repro.sim.batch.engine import BatchEngine
+from repro.sim.engine import Engine, EngineConfig
+
+DT = 0.1
+DURATION = 300.0  # 3000 x ``+= 0.1`` is 299.9999999999997, 3000 * 0.1 is 300
+
+
+def _engine(fast_path: bool) -> Engine:
+    session = make_session("main", ANL_UC.main_path, make_tuner("cd", 5),
+                           duration_s=DURATION)
+    return Engine(
+        topology=ANL_UC.build_topology(), host=ANL_UC.host,
+        sessions=[session],
+        schedule=LoadSchedule.constant(ExternalLoad(ext_cmp=16)),
+        config=EngineConfig(dt=DT, seed=5, fast_path=fast_path),
+    )
+
+
+def _assert_exact(trace, epochs: int = 10) -> None:
+    assert len(trace.steps) == 3000
+    assert len(trace.epochs) == epochs
+    assert [r.duration for r in trace.epochs] == [30.0] * epochs
+    assert [r.start for r in trace.epochs] == [
+        i * 300 * DT for i in range(epochs)]
+
+
+def test_single_run_paths_take_exactly_n_steps():
+    ref = _engine(fast_path=False).run()["main"]
+    _assert_exact(ref)
+    fast = _engine(fast_path=True).run()["main"]
+    lane = BatchEngine([_engine(fast_path=True)]).run()[0]["main"]
+    for trace in (fast, lane):
+        assert trace.epochs == ref.epochs
+        assert trace.steps == ref.steps
+
+
+def test_fleet_shard_windows_take_exactly_n_steps():
+    traces = []
+    for batch in (True, False):
+        shard = FleetShard(SCENARIOS["anl-uc"], seed=1, dt=DT,
+                           epoch_s=30.0, batch=batch)
+        assert shard.window_ticks == 300
+        tenant = Tenant(TenantSpec(tenant="t", scenario="anl-uc",
+                                   tuner="cd", seed=0, epochs=10))
+        shard.attach(tenant)
+        session = shard.session("t")
+        while shard.active:
+            shard.step_epoch()
+        assert tenant.state == COMPLETED
+        _assert_exact(session.trace)
+        traces.append(session.trace)
+    assert traces[0].epochs == traces[1].epochs
+    assert traces[0].steps == traces[1].steps
+
+
+def _fleet(dt: float, batch: bool) -> FleetService:
+    fleet = FleetService(seed=3, dt=dt, epoch_s=30.0, batch=batch)
+    tuners = ("cd", "cs", "gss", "nm")
+    for i in range(8):
+        fleet.submit({"tenant": f"f{i}",
+                      "scenario": ("anl-uc", "anl-tacc")[i % 2],
+                      "tuner": tuners[i % 4], "seed": i,
+                      "epochs": 3 + i % 2})
+    fleet.drive()
+    return fleet
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.3])
+def test_fleet_serves_non_dyadic_step_sizes(dt):
+    batched, scalar = _fleet(dt, True), _fleet(dt, False)
+    assert batched.status()["fusion"]["rounds"] > 0
+    for name, tenant in batched.tenants.items():
+        assert tenant.state == COMPLETED
+        assert len(tenant.records) == tenant.spec.epochs
+        assert {r.duration for r in tenant.records} == {30.0}
+        assert tenant.records == scalar.tenants[name].records, name
+
+
+def test_fleet_rejects_an_epoch_that_is_not_whole_steps():
+    with pytest.raises(ValueError, match="multiple of dt"):
+        FleetService(dt=0.7, epoch_s=30.0)

@@ -131,6 +131,20 @@ class TestJournalCommands:
         with pytest.raises(SystemExit, match="resume"):
             main(["run", "--duration", "150", "--journal", str(journal)])
 
+    def test_resume_of_a_format_1_journal_exits_with_the_reason(
+            self, tmp_path, capsys):
+        from tests.checkpoint.test_resume_engine import _as_format_1
+
+        journal = self._run_journaled(tmp_path, capsys)
+        lines = journal.read_bytes().splitlines(keepends=True)
+        journal.write_bytes(b"".join(lines[:3]))  # header, epoch, snapshot
+        _as_format_1(journal)
+        with pytest.raises(SystemExit) as exc:
+            main(["resume", str(journal)])
+        message = str(exc.value.code)
+        assert "snapshot format 1" in message
+        assert "\n" not in message
+
     def test_resume_missing_journal_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="no journal"):
             main(["resume", str(tmp_path / "nope.jnl")])
