@@ -1,18 +1,19 @@
 """Batched epoch close: ``TransferSession.close_epoch`` over the lane axis.
 
-:func:`close_epochs` folds the per-lane observed-throughput aggregation
-(``MB / elapsed``, ``MB / run_s``) into one numpy pass and assembles the
-:class:`~repro.sim.trace.EpochRecord` tuples through ``tuple.__new__`` —
-the same bulk-construction idiom the batch engine's step materializer
-uses.  Every record is bit-identical to the scalar ``close_epoch``: the
-division is elementwise IEEE double arithmetic in the same operand
-order, ``start = now - epoch_elapsed`` is the scalar subtraction per
-lane, and all array results cross back into python floats (downstream
-consumers — tuners, JSON cache entries — must never see ``np.float64``).
+:func:`close_epochs` folds the per-session observed-throughput
+aggregation (``MB / elapsed``, ``MB / run_s``) into one numpy pass and
+assembles the :class:`~repro.sim.trace.EpochRecord` tuples through
+``tuple.__new__`` — the same bulk-construction idiom the span kernel's
+step records use.  Every record is bit-identical to the scalar
+``close_epoch``: the division is elementwise IEEE double arithmetic in
+the same operand order, ``start = now - epoch_elapsed`` is the scalar
+subtraction per session, and all array results cross back into python
+floats (downstream consumers — tuners, JSON cache entries — must never
+see ``np.float64``).
 
-Both batch engines (:mod:`repro.sim.batch.engine` per-lane substrates,
-:mod:`repro.sim.batch.shard` shared substrates) close their window
-boundaries through this helper.
+The span kernel's close round (:func:`repro.sim.batch.shard.
+advance_spans`) closes every boundary session of every engine — batch
+lanes and fleet shards alike — with one call.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from repro.faults.events import OBS_LOSS
 from repro.sim.trace import EpochRecord
 
 
-def close_epochs(sessions, now: float) -> list[EpochRecord]:
+def close_epochs(sessions, nows) -> list[EpochRecord]:
     """Close one epoch on every session, in order; returns the records.
 
     Mirrors ``TransferSession.close_epoch(start_time=now - epoch_elapsed)``
-    per session, with the float aggregation batched across lanes.
+    per session, ``nows`` holding each session's engine time, with the
+    float aggregation batched across sessions.
     """
     new = tuple.__new__
     ee_l = [s.epoch_elapsed for s in sessions]
@@ -42,7 +44,7 @@ def close_epochs(sessions, now: float) -> list[EpochRecord]:
     mb = eb / 1e6
     observed = (mb / ee).tolist()
     best = np.where(er > 0, mb / np.where(er > 0, er, 1.0), 0.0).tolist()
-    starts = (now - ee).tolist()
+    starts = (np.asarray(nows) - ee).tolist()
 
     out: list[EpochRecord] = []
     for j, s in enumerate(sessions):
@@ -73,7 +75,7 @@ def close_epochs(sessions, now: float) -> list[EpochRecord]:
                 f"after {trace.epochs[-1].index}"
             )
         trace.epochs.append(rec)
-        s.last_epoch_steps = trace.steps[s._epoch_step_mark:]
+        s._last_step_mark = s._epoch_step_mark
         s._epoch_step_mark = len(trace.steps)
         s.epoch_index += 1
         s.epoch_ticks = 0

@@ -1,26 +1,31 @@
 """Population dispatch: window-end tuner proposals as ``(B,)`` arrays.
 
-The batch engine's spans are vectorized, but every window end still ran
-one python ladder per lane — generator ``send``, per-epoch noise draws,
-``math.exp`` — which at B=64 is the dominant non-vectorized cost.  The
-:class:`PopulationDispatcher` routes each lane once, at its first close:
+The span kernel (:func:`repro.sim.batch.shard.advance_spans`) closes a
+round of epochs with one batched close; without populations every lane
+would then still run one python ladder — generator ``send``, restart
+dead-time chain — per epoch.  The :class:`PopulationDispatcher` routes
+each lane once, at its first close:
 
 * lanes whose tuner class offers :meth:`~repro.core.base.Tuner.propose_batch`
   (cd, cs, gss) join a shared :class:`~repro.core.base.TunerPopulation`
   keyed by ``(tuner class, space)`` and thereafter advance as one
   ``observe_batch`` array step per window;
 * everything else — unsupported tuner classes (nm, spsa, ...),
-  retry/breaker machinery, instrumented runs — keeps the scalar
-  ``Engine._dispatch_epoch`` ladder, tallied once per lane under the
-  ``dispatch:*`` reasons in :mod:`repro.sim.batch.eligibility`.
+  retry/breaker machinery, instrumented runs — goes back to the
+  driver's dispatch round (the engine's own ``_dispatch_epoch`` with
+  pre-drawn factors), tallied once per lane under the ``dispatch:*``
+  reasons in :mod:`repro.sim.batch.eligibility`.
 
 Bit-exactness: population lanes replicate the ladder's clean path
-draw-for-draw.  The per-epoch noise/restart-jitter normals still come
-from each lane's own streams in the ladder's order (sigma == 0 draws
-nothing, exactly like ``lognormal_factor``); only the ``exp`` is batched
-— ``np.exp`` over the collected normals equals the scalar ``np.exp``
-per element.  Adoption is the ladder's clean arm with the restart
-dead-time chain (``RestartModel.restart_time_s`` → rjit clamp →
+draw-for-draw.  A population lane's epoch noise shares its generator
+with the span step jitter, so both sides consume the lane's block
+buffer of standard normals (:func:`take_std_normals`, held on the
+lane's span state) in program order, scaled ``loc + sigma * z`` —
+bitwise the sized ``Generator.normal`` sequence (sigma == 0 draws
+nothing, exactly like ``lognormal_factor``).  Only the ``exp`` is
+batched — ``np.exp`` over the collected normals equals the scalar
+``np.exp`` per element.  Adoption is the ladder's clean arm with the
+restart dead-time chain (``RestartModel.restart_time_s`` → rjit clamp →
 ``begin_restart`` cap) evaluated as elementwise float64 arrays in the
 scalar operand order — population lanes carry no fault machinery, so
 the clean arm is the only arm they can take.  Reordering closes and
@@ -40,25 +45,24 @@ from repro.sim.batch.eligibility import (
     dispatch_fallback_reason,
 )
 
+_NO_DRAWS = np.empty(0)
 
-def take_std_normals(engine, n: int):
-    """The next ``n`` standard normals of the lane's throughput-noise
-    stream, from the engine's block buffer (refilled with sized draws —
-    the same value sequence as ``n`` scalar calls)."""
-    buf = engine._pop_z
-    pos = engine._pop_zpos
-    if buf is None:
-        buf = engine._pop_z = engine._rng_noise.standard_normal(
-            n if n > 256 else 256)
-        pos = 0
-    elif pos + n > buf.shape[0]:
+
+def take_std_normals(span, n: int):
+    """The next ``n`` standard normals of a population lane's
+    throughput-noise stream, from its span state's block buffer
+    (refilled with sized draws — the same value sequence as ``n``
+    scalar calls)."""
+    buf = span._pop_z
+    pos = span._pop_zpos
+    if pos + n > buf.shape[0]:
         tail = buf[pos:]
         short = n - tail.shape[0]
-        fresh = engine._rng_noise.standard_normal(
+        fresh = span.engine._rng_noise.standard_normal(
             short if short > 256 else 256)
-        buf = engine._pop_z = np.concatenate([tail, fresh])
+        buf = span._pop_z = np.concatenate([tail, fresh])
         pos = 0
-    engine._pop_zpos = pos + n
+    span._pop_zpos = pos + n
     return buf[pos:pos + n]
 
 
@@ -95,11 +99,11 @@ class PopulationDispatcher:
         self.population_lanes = 0
         self.ladder_lanes = 0
 
-    def dispatch(self, items) -> None:
-        """Dispatch ``(lane, engine, session, rec)`` closes, one epoch
-        each; population lanes advance together, the rest take the
-        scalar ladder."""
-        ladder = []
+    def dispatch(self, items) -> list:
+        """Advance the population lanes among ``(lane, span, session,
+        rec)`` closes, one epoch each; returns the other items, in
+        order, for the caller's dispatch round."""
+        rest = []
         grouped: dict = {}
         lane_pop = self._lane_pop
         for item in items:
@@ -107,17 +111,17 @@ class PopulationDispatcher:
             if pop is None:
                 pop = self._route(*item)
             if pop is None:
-                ladder.append(item)
+                rest.append(item)
             else:
-                grouped.setdefault(id(pop), (pop, []))[1].append(item)
-        for lane, engine, session, rec in ladder:
-            engine._dispatch_epoch(session, rec)
-        for pop, group in grouped.values():
+                grouped.setdefault(pop, []).append(item)
+        for pop, group in grouped.items():
             self._dispatch_population(pop, group)
+        return rest
 
     # -- routing ---------------------------------------------------------
 
-    def _route(self, lane, engine, session, rec):
+    def _route(self, lane, span, session, rec):
+        engine = span.engine
         pop = self._lane_pop.get(lane)
         if pop is not None or lane in self._decided:
             return pop
@@ -153,7 +157,7 @@ class PopulationDispatcher:
             return None
         self._lane_pop[lane] = pop
         self.population_lanes += 1
-        engine._pop_buffered = True
+        span._pop_z = _NO_DRAWS  # from here on, draw through the buffer
         restart = engine.client.restart
         pm = session.param_map
         self._consts[lane] = (
@@ -187,7 +191,8 @@ class PopulationDispatcher:
         sigs: list[float] = []
         slots: list[int] = []  # lane index j of each noise draw
         cs: list = []  # each lane's consts, reused by the adopt loop
-        for j, (lane, engine, session, rec) in enumerate(items):
+        for j, (lane, span, session, rec) in enumerate(items):
+            engine = span.engine
             if engine._jit_pos < len(engine._jit_buf):
                 raise RuntimeError(
                     "epoch dispatched with an undrained jitter batch: "
@@ -201,13 +206,13 @@ class PopulationDispatcher:
                 # The noise stream is shared with the span loop's step
                 # jitter; both sides consume the lane's block buffer
                 # (inlined fast path — one epoch draw per lane-window).
-                buf = engine._pop_z
-                pos = engine._pop_zpos
-                if buf is not None and pos < buf.shape[0]:
+                buf = span._pop_z
+                pos = span._pop_zpos
+                if pos < buf.shape[0]:
                     z = buf[pos]
-                    engine._pop_zpos = pos + 1
+                    span._pop_zpos = pos + 1
                 else:
-                    z = take_std_normals(engine, 1)[0]
+                    z = take_std_normals(span, 1)[0]
                 zs.append(z)
                 sigs.append(sig_n)
                 slots.append(j)
@@ -239,7 +244,7 @@ class PopulationDispatcher:
         # are in-space fBnd points and the clean arm is the only arm.
         rows = []  # lanes whose params changed (or always-restart lanes)
         row_nc: list[int] = []
-        for j, (lane, engine, session, rec) in enumerate(items):
+        for j, (lane, span, session, rec) in enumerate(items):
             params = tuple(proposals[j])
             c = cs[j]
             ncd = c[10]
@@ -252,7 +257,7 @@ class PopulationDispatcher:
             if (c[8] or new_nc != old_nc
                     or (npd is not None and params[npd] != old[npd])):
                 warm = c[9] and new_nc == old_nc
-                rows.append((j, session, engine, warm, c))
+                rows.append((j, session, span.engine, warm, c))
                 row_nc.append(new_nc)
         if not rows:
             return

@@ -1,10 +1,12 @@
-"""Which engine configurations the batch path can express.
+"""Which engine configurations the span kernel can express.
 
-The batch engine advances many single-session, duration-limited runs in
-lockstep (see :mod:`repro.sim.batch.engine`).  Everything it cannot
-express falls back to the scalar engine *per run* — callers ask
-:func:`unbatchable_reason` and route the lane accordingly, so a mixed
-population always completes with bit-identical results.
+The span kernel (:mod:`repro.sim.batch.shard`) advances batch lanes —
+single-session, duration-limited runs (:mod:`repro.sim.batch.engine`) —
+and fleet-shard windows in lockstep.  Everything it cannot express
+falls back to the scalar engine: per run for a batch
+(:func:`unbatchable_reason`), per window for a shard
+(:func:`unbatchable_lane_reason`), so a mixed population always
+completes with bit-identical results.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def unbatchable_reason(engine: "Engine") -> str | None:
     joint controllers, sink-driven tenants, journals, live
     instrumentation).  Retry policies and circuit breakers *are*
     supported: with no faults they act only inside the epoch dispatch,
-    which the batch engine reuses verbatim.
+    where the span kernel calls the engine's own ``_dispatch_epoch``.
     """
     if engine._started:
         return "engine already started"
@@ -60,12 +62,11 @@ def unbatchable_lane_reason(session: "TransferSession") -> str | None:
     """Why one *substrate session* blocks its shard's batched window,
     or ``None`` if it can ride a vectorized span.
 
-    The fleet-shard span engine (:mod:`repro.sim.batch.shard`) shares
-    one engine across all lanes, so this is the per-session analogue of
-    :func:`unbatchable_reason`: anything whose mid-epoch behavior the
-    span solver does not model forces the *whole window* onto the
-    scalar loop (sessions are coupled through the max-min allocation —
-    one lane's fault changes every other lane's rate).  A fault
+    A fleet shard's lanes share one engine, so this is the per-session
+    analogue of :func:`unbatchable_reason`: anything whose mid-epoch
+    behavior the span kernel does not model forces the *whole window*
+    onto the scalar loop (sessions are coupled through the max-min
+    allocation — one lane's fault changes every other lane's rate).  A fault
     schedule only blocks while it is still *active*: once every event
     lies behind the session's epoch index the schedule is inert (rate
     factor 1.0, no fault kinds) and the session rejoins the lanes —

@@ -303,17 +303,6 @@ class Engine:
         # additionally disables it (the stop can land mid-span).
         self._jit_buf = _NO_JITTER
         self._jit_pos = 0
-        # Population-dispatch block buffer for the throughput-noise
-        # stream (span step-jitter and epoch noise interleave on one
-        # generator, so neither can be pre-drawn alone).  Activated by
-        # the batch dispatcher when it adopts the lane; refilled with
-        # sized ``standard_normal`` blocks — the identical value
-        # sequence as the scalar draws (``normal(loc, s)`` is bitwise
-        # ``loc + s * standard_normal()``), one generator call per
-        # block instead of one per draw.
-        self._pop_buffered = False
-        self._pop_z = None
-        self._pop_zpos = 0
         self._batch_jitter = (
             self.config.fast_path
             and not self.controllers

@@ -179,10 +179,9 @@ class TransferSession:
         #: Set when a session abort exhausted the retry budget.
         self.failed: bool = False
 
-        #: Step records belonging to the most recently closed epoch (for
-        #: the checkpoint journal); index into ``trace.steps`` where the
-        #: current (partial) epoch begins.
-        self.last_epoch_steps: list[StepRecord] = []
+        # Indices into ``trace.steps`` where the most recently closed
+        # epoch and the current (partial) epoch begin.
+        self._last_step_mark: int = 0
         self._epoch_step_mark: int = 0
         self.bind_dt(1.0)
 
@@ -244,6 +243,12 @@ class TransferSession:
     def restart_remaining(self) -> float:
         """Seconds left in the restart window."""
         return self.dead_ticks * self.dt + self.lead_s
+
+    @property
+    def last_epoch_steps(self) -> list[StepRecord]:
+        """Step records of the most recently closed epoch (for the
+        checkpoint journal)."""
+        return self.trace.steps[self._last_step_mark:self._epoch_step_mark]
 
     @property
     def epoch_elapsed(self) -> float:
@@ -350,7 +355,7 @@ class TransferSession:
             tuned=fault is None and breaker_state != OPEN_STATE,
         )
         self.trace.add_epoch(rec)
-        self.last_epoch_steps = self.trace.steps[self._epoch_step_mark:]
+        self._last_step_mark = self._epoch_step_mark
         self._epoch_step_mark = len(self.trace.steps)
         self.epoch_index += 1
         self.epoch_ticks = 0
@@ -477,8 +482,7 @@ class TransferSession:
                 self.trace.add_step(s)
             self.trace.add_epoch(rec)
         self._epoch_step_mark = len(self.trace.steps)
-        self.last_epoch_steps = (
-            epochs[-1][1] if epochs else []
-        )
+        self._last_step_mark = self._epoch_step_mark - (
+            len(epochs[-1][1]) if epochs else 0)
         for s in state["partial_steps"]:
             self.trace.add_step(step_from_dict(s))

@@ -23,9 +23,9 @@ class StepRecord(NamedTuple):
 
     A NamedTuple rather than a (frozen) dataclass: runs construct one
     record per simulated second, so the C-level tuple constructor is a
-    measurable win for both the scalar step loop and the batch engine's
-    bulk materialization — with the same immutability, field access,
-    repr style, and equality semantics.
+    measurable win for both the scalar step loop and the span kernel's
+    bulk record construction — with the same immutability, field
+    access, repr style, and equality semantics.
     """
 
     time: float  #: start of step, seconds
@@ -40,7 +40,7 @@ class EpochRecord(NamedTuple):
     The fault/recovery fields default to the clean-epoch values so
     records from fault-free runs (and pre-fault trace files) read
     unchanged.  A NamedTuple for the same reason as :class:`StepRecord`
-    (epoch closes are on the batch engine's per-epoch hot path).
+    (epoch closes are on the span kernel's per-epoch hot path).
     """
 
     index: int  #: epoch counter c

@@ -178,8 +178,18 @@ class TestFallbackReasonDedup:
 
 class TestCrossShardFusion:
     NAMES = ["anl-uc", "anl-tacc"]
+    #: Tuners per shard.  "pairs": every shard's spans break at its
+    #: tenants' dead ends.  "lone+shared": a tenant alone on its shard
+    #: (restarts stay dead prefixes inside the span) fused with a
+    #: three-tenant shard (spans break at each dead end).
+    MIXES = {
+        "pairs": {"anl-uc": ("cd", "nm"), "anl-tacc": ("cd", "nm")},
+        "lone+shared": {"anl-uc": ("cd",),
+                        "anl-tacc": ("cd", "nm", "cs")},
+    }
 
-    def _fleet(self, *, batch: bool = True, names=None, seed: int = 2):
+    def _fleet(self, *, batch: bool = True, names=None, seed: int = 2,
+               mix: str = "pairs"):
         from repro.service import FleetService
 
         names = self.NAMES if names is None else names
@@ -189,7 +199,7 @@ class TestCrossShardFusion:
         )
         i = 0
         for n in self.NAMES:
-            for tuner in ("cd", "nm"):
+            for tuner in self.MIXES[mix][n]:
                 i += 1
                 if n in names:
                     fleet.submit({"tenant": f"f{i}", "scenario": n,
@@ -198,15 +208,15 @@ class TestCrossShardFusion:
         fleet.drive()
         return fleet
 
-    def test_fused_fleet_is_bit_identical_to_unfused_and_scalar(self):
-        fused = self._fleet()
-        scalar = self._fleet(batch=False)
+    def _assert_fused_matches_unfused_and_scalar(self, mix: str):
+        fused = self._fleet(mix=mix)
+        scalar = self._fleet(batch=False, mix=mix)
         # Unfused: each scenario alone in a singleton fleet (which never
         # fuses), seeded as the two-shard fleet seeds that shard
         # (sorted scenario order: anl-tacc, then anl-uc).
         plain = {}
         for offset, n in enumerate(sorted(self.NAMES)):
-            solo = self._fleet(names=[n], seed=2 + offset)
+            solo = self._fleet(names=[n], seed=2 + offset, mix=mix)
             assert solo.status()["fusion"]["rounds"] == 0
             plain.update(solo.tenants)
         assert fused.status()["fusion"]["rounds"] > 0
@@ -214,6 +224,20 @@ class TestCrossShardFusion:
             a = fused.tenants[name].records
             assert a == plain[name].records, name
             assert a == scalar.tenants[name].records, name
+        return fused
+
+    def test_fused_fleet_is_bit_identical_to_unfused_and_scalar(self):
+        self._assert_fused_matches_unfused_and_scalar("pairs")
+
+    def test_fused_lone_and_shared_shards_match_unfused_and_scalar(self):
+        """One fused round holds both restart rules: the lone tenant's
+        dead prefix and the shared shard's dead-end breaks."""
+        fused = self._assert_fused_matches_unfused_and_scalar("lone+shared")
+        batch = fused.status()["batch"]
+        assert set(batch["anl-uc"]["lane_widths"]) == {"1"}
+        assert "3" in batch["anl-tacc"]["lane_widths"]
+        assert batch["anl-uc"]["fused_epochs"] > 0
+        assert batch["anl-tacc"]["fused_epochs"] > 0
 
     def test_fusion_surfaces_in_status_and_metrics(self):
         fleet = self._fleet()

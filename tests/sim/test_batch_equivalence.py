@@ -33,7 +33,13 @@ from repro.experiments.runner import (
     run_single,
 )
 from repro.experiments.scenarios import ANL_TACC, ANL_UC
-from repro.faults import FaultEvent, FaultSchedule, RetryPolicy, STREAM_CRASH
+from repro.faults import (
+    STREAM_CRASH,
+    CircuitBreaker,
+    FaultEvent,
+    FaultSchedule,
+    RetryPolicy,
+)
 from repro.sim.batch import BatchEngine, unbatchable_reason
 from repro.sim.engine import Engine, EngineConfig, LoadSchedule
 from repro.sim.session import TransferSession
@@ -91,8 +97,10 @@ def test_tuner_matrix_is_bit_identical(scenario, fast_path):
 
 def test_heterogeneous_population_is_bit_identical():
     """Mixed scenarios, tuners, seeds, durations, loads — including a
-    varying-load schedule and a 2-D ``tune_np`` lane — in undersized
-    chunks so lanes of different shapes share a chunk."""
+    varying-load schedule, a 2-D ``tune_np`` lane, and retry-policy and
+    circuit-breaker lanes with no faults (they batch, and dispatch
+    through the round's pre-drawn factors) — in undersized chunks so
+    lanes of different shapes share a chunk."""
     specs = [
         SingleRunSpec(ANL_UC, make_tuner("cd", SEED), duration_s=DURATION,
                       seed=SEED),
@@ -109,6 +117,9 @@ def test_heterogeneous_population_is_bit_identical():
         SingleRunSpec(ANL_UC, make_tuner("cd", SEED),
                       duration_s=DURATION, seed=SEED,
                       retry_policy=RetryPolicy()),
+        SingleRunSpec(ANL_TACC, make_tuner("cs", SEED + 3),
+                      duration_s=DURATION, seed=SEED + 3,
+                      breaker=CircuitBreaker()),
     ]
     _assert_batch_matches_scalar(specs, batch=4)
 

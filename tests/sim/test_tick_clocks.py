@@ -69,6 +69,10 @@ def test_fleet_shard_windows_take_exactly_n_steps():
         assert tenant.state == COMPLETED
         _assert_exact(session.trace)
         traces.append(session.trace)
+        if batch:
+            # A tenant alone on its shard keeps each restart as a dead
+            # prefix inside the span: one span per window.
+            assert shard.lane_widths() == {1: 10}
     assert traces[0].epochs == traces[1].epochs
     assert traces[0].steps == traces[1].steps
 
