@@ -5,9 +5,8 @@ Two measurements, both committed to ``benchmarks/results/``:
 * **Single-run fast path** — 1800 s fig5-style runs (fixed np=8, tuning
   nc) on the reference step pipeline (``fast_path=False``, everything
   recomputed every step) vs. the default fast path (change-point
-  allocation caching + batched jitter draws).  Traces must be
-  bit-identical (epochs AND steps); the speedup gate is >= 2x with a
-  >= 3x target.
+  allocation caching).  Traces must be bit-identical (epochs AND
+  steps); the speedup gate is >= 2x with a >= 3x target.
 * **Campaign fan-out** — a quick-scale campaign timed on the reference
   engine serially (the pre-fast-path baseline) and on the fast path at
   ``jobs`` = 1/2/4.  Reports are asserted identical at every width.

@@ -12,9 +12,11 @@ and all (seeded tuners draw inside ``propose``, so a fresh ``start``
 replays their internal randomness too).
 
 The replay drives fresh :class:`~repro.faults.RetryPolicy` counters and
-a :class:`~repro.faults.CircuitBreaker` through the same per-epoch
-dispatch order as :meth:`repro.sim.engine.Engine._dispatch_epoch` and
-:func:`repro.live.tune_live`, and *verifies* every journaled epoch
+a :class:`~repro.faults.CircuitBreaker` through the recovery ladder
+:meth:`repro.sim.engine.Engine._dispatch_epoch` and
+:func:`repro.live.tune_live` share
+(:func:`repro.faults.recovery.recover_epoch`), and *verifies* every
+journaled epoch
 against the recomputed trajectory — params, governing breaker state,
 cumulative retries, and the tuned flag must all match, else
 :class:`ReplayMismatchError` pinpoints the first divergent epoch.  A
@@ -29,7 +31,14 @@ from dataclasses import dataclass
 from repro.core.base import Tuner, TunerDriver
 from repro.core.params import ParamSpace
 from repro.faults.breaker import CLOSED, OPEN, CircuitBreaker
-from repro.faults.events import OBS_LOSS, SESSION_ABORT
+from repro.faults.recovery import (
+    FAIL,
+    FALLBACK,
+    OBSERVE,
+    PROBE,
+    fallback_params,
+    recover_epoch,
+)
 from repro.faults.retry import RetryPolicy, RetryState
 from repro.sim.trace import EpochRecord
 
@@ -69,21 +78,6 @@ class ReplayResult:
     breaker: CircuitBreaker | None
     failed: bool
     epochs_replayed: int
-
-
-def _fallback(
-    space: ParamSpace,
-    params: tuple[int, ...],
-    breaker: CircuitBreaker,
-    nc_dim: int | None,
-    np_dim: int | None,
-) -> tuple[int, ...]:
-    p = list(params)
-    if nc_dim is not None:
-        p[nc_dim] = breaker.fallback_nc
-    if np_dim is not None:
-        p[np_dim] = breaker.fallback_np
-    return space.fbnd(tuple(p))
 
 
 def replay_epochs(
@@ -135,36 +129,19 @@ def replay_epochs(
                 i, "failed", "no epochs after a session abort ended the "
                 "run", "extra epoch record")
 
-        # Identical dispatch order to Engine._dispatch_epoch / tune_live.
-        if retry_state is not None:
-            retry_state.next_epoch()
-        prev_state = breaker.state if breaker is not None else None
-        if breaker is not None:
-            breaker.record_epoch(rec.faulted)
-
-        if (rec.fault == SESSION_ABORT and retry_state is not None
-                and not retry_state.can_retry()):
+        # The jitter draw only shapes the backoff *delay*; the counters
+        # the resumed run needs are u-independent.
+        arm = recover_epoch(rec.fault, rec.faulted, retry_state, breaker,
+                            u=0.0).arm
+        if arm == FAIL:
             failed = True
-            continue
-
-        if breaker is not None and breaker.state == OPEN:
-            params = _fallback(space, params, breaker, nc_dim, np_dim)
-        elif breaker is not None and prev_state == OPEN:
+        elif arm == FALLBACK:
+            params = fallback_params(breaker, space, params, nc_dim, np_dim)
+        elif arm == PROBE:
             params = driver.current  # probe with the standing proposal
-        elif rec.faulted:
-            if retry_state is not None and retry_state.can_retry():
-                # The jitter draw only shapes the backoff *delay*; the
-                # counters the resumed run needs are u-independent.
-                retry_state.record_failure(u=0.0)
-            # parameters held for the relaunch
-        elif rec.fault == OBS_LOSS:
-            if retry_state is not None:
-                retry_state.record_success()
-            # parameters held; the tuner observes nothing
-        else:
-            if retry_state is not None:
-                retry_state.record_success()
+        elif arm == OBSERVE:
             params = driver.observe(rec.observed)
+        # A relaunch or a lost measurement holds the parameters.
 
     return ReplayResult(
         driver=driver,

@@ -8,9 +8,11 @@ contract is the scalar one: every returned trace is **bit-identical**
 (epochs AND steps) to ``run_single`` on the same arguments, cache keys
 are the very keys ``run_single`` computes (a batch-warmed cache serves
 scalar callers and vice versa), and specs the batch engine cannot
-express (fault schedules, finite-bytes transfers, journals, live
-instrumentation — see :func:`~repro.sim.batch.unbatchable_reason`) fall
-back to their own scalar engine per spec, automatically.
+express (live instrumentation, and the engine shapes no spec builds:
+finite bytes, joint controllers, journals — see
+:func:`~repro.sim.batch.unbatchable_reason`) fall back to their own
+scalar engine per spec, automatically.  Fault schedules, retry
+policies and breakers batch.
 
 :func:`run_many` composes the lane axis with the process axis: specs
 are cut into one-chunk tasks (``batch`` specs each) and fanned over

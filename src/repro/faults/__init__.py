@@ -15,12 +15,14 @@ conditions injectable and the recovery machinery explicit:
 * :mod:`repro.faults.breaker` — :class:`CircuitBreaker`: after repeated
   failed epochs, fall back to the safe Globus default (nc=2, np=8) and
   probe for recovery later.
+* :mod:`repro.faults.recovery` — :func:`recover_epoch`: the one
+  per-epoch recovery ladder over a retry state and a breaker.
 
 Both the simulator (:class:`repro.sim.session.TransferSession` /
 :class:`repro.sim.engine.Engine`) and the live adapter
 (:func:`repro.live.tune_live`) accept the same schedule + policy +
-breaker triple, so an experiment hardened in simulation deploys
-unchanged.  A core guarantee holds in both paths: a faulted or absent
+breaker triple and decide every epoch through :func:`recover_epoch`,
+so an experiment hardened in simulation deploys unchanged.  A core guarantee holds in both paths: a faulted or absent
 observation is never fed to a tuner as genuine throughput.
 """
 
@@ -39,6 +41,7 @@ from repro.faults.events import (
     STREAM_CRASH,
     FaultEvent,
 )
+from repro.faults.recovery import Recovery, fallback_params, recover_epoch
 from repro.faults.retry import (
     SAFE_DEFAULT_NC,
     SAFE_DEFAULT_NP,
@@ -53,6 +56,9 @@ __all__ = [
     "RetryPolicy",
     "RetryState",
     "CircuitBreaker",
+    "Recovery",
+    "recover_epoch",
+    "fallback_params",
     "FaultError",
     "EpochFault",
     "SessionAborted",

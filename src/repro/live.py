@@ -21,8 +21,8 @@ Resilience: :func:`tune_live` accepts the same fault-campaign triple as
 the simulator (:class:`~repro.faults.FaultSchedule`,
 :class:`~repro.faults.RetryPolicy`,
 :class:`~repro.faults.CircuitBreaker`), and drives retry backoff and the
-breaker state machine in exactly the same per-epoch order as
-:meth:`repro.sim.engine.Engine._dispatch_epoch` — so a campaign hardened
+breaker state machine through the simulator's own recovery ladder
+(:func:`repro.faults.recovery.recover_epoch`) — so a campaign hardened
 in simulation replays its fault/retry/breaker transitions identically
 against a real tool.  A raising ``run_epoch`` never crashes the loop:
 the epoch is recorded as faulted (crediting any
@@ -57,6 +57,15 @@ from repro.faults.events import (
     OBS_LOSS,
     SESSION_ABORT,
     STREAM_CRASH,
+)
+from repro.faults.recovery import (
+    FAIL,
+    FALLBACK,
+    HOLD,
+    PROBE,
+    RELAUNCH,
+    fallback_params,
+    recover_epoch,
 )
 from repro.faults.retry import RetryPolicy, RetryState
 from repro.faults.schedule import FaultSchedule
@@ -194,21 +203,6 @@ class LiveResult:
         """The (fault, breaker, tuned) sequence — the replayable part of
         a campaign (real throughput varies run to run; these must not)."""
         return [(e.fault, e.breaker, e.tuned) for e in self.epochs]
-
-
-def _fallback_params(
-    space: ParamSpace,
-    params: tuple[int, ...],
-    breaker: CircuitBreaker,
-    nc_dim: int,
-    np_dim: int | None,
-) -> tuple[int, ...]:
-    """The breaker's safe default mapped into the tuned space."""
-    p = list(params)
-    p[nc_dim] = breaker.fallback_nc
-    if np_dim is not None:
-        p[np_dim] = breaker.fallback_np
-    return space.fbnd(tuple(p))
 
 
 def tune_live(
@@ -465,79 +459,47 @@ def tune_live(
         if on_epoch is not None:
             on_epoch(epoch)
 
-        # Per-epoch dispatch, same order as the simulator's
-        # Engine._dispatch_epoch so campaigns replay identically.
-        if retry_state is not None:
-            retry_state.next_epoch()
-        prev_state = breaker.state if breaker is not None else None
-        if breaker is not None:
-            breaker.record_epoch(faulted)
+        # The simulator's recovery ladder; the backoff jitter is drawn
+        # from ``rng`` only when a retry is charged.
+        step = recover_epoch(fault, faulted, retry_state, breaker, rng=rng)
 
-        if (fault == SESSION_ABORT and retry_state is not None
-                and not retry_state.can_retry()):
+        if step.arm == FAIL:
             result.failed = True
-            if obs is not None:
-                obs.bus.emit(TunerReject(
-                    time=_ev[0], session=journal_session, index=index,
-                    params=tuple(params), reason="budget-exhausted",
-                ))
-            elapsed += epoch_s
-            index += 1
-            if journal is not None:
-                _write_snapshot()
-            break
-
-        if breaker is not None and breaker.state == OPEN:
-            params = _fallback_params(space, params, breaker, nc_dim, np_dim)
-            if obs is not None:
-                obs.bus.emit(TunerReject(
-                    time=_ev[0], session=journal_session, index=index,
-                    params=tuple(params), reason="breaker-open",
-                ))
-        elif breaker is not None and prev_state == OPEN:
-            params = driver.current  # probe with the standing proposal
-            if obs is not None:
-                obs.bus.emit(TunerProposal(
-                    time=_ev[0], session=journal_session, index=index,
-                    params=tuple(params), observed=None,
-                ))
-                obs.bus.emit(TunerAccept(
-                    time=_ev[0], session=journal_session, index=index,
-                    params=tuple(params),
-                ))
-        elif faulted:
-            if retry_state is not None and retry_state.can_retry():
-                backoff = retry_state.record_failure(rng=rng)
-                if backoff > 0:
-                    clock.sleep(backoff)
-                    elapsed += backoff
-            # relaunch with the same parameters
-            if obs is not None:
-                obs.bus.emit(TunerReject(
-                    time=_ev[0], session=journal_session, index=index,
-                    params=tuple(params), reason="faulted",
-                ))
-        elif fault == OBS_LOSS:
-            if retry_state is not None:
-                retry_state.record_success()
-            # hold parameters; the tuner observes nothing
-            if obs is not None:
-                obs.bus.emit(TunerReject(
-                    time=_ev[0], session=journal_session, index=index,
-                    params=tuple(params), reason="obs-loss",
-                ))
+            reason = "budget-exhausted"
+        elif step.arm == FALLBACK:
+            params = fallback_params(breaker, space, params, nc_dim, np_dim)
+            reason = "breaker-open"
+        elif step.arm == RELAUNCH:
+            # relaunch with the same parameters, after the backoff
+            if step.backoff_s > 0:
+                clock.sleep(step.backoff_s)
+                elapsed += step.backoff_s
+            reason = "faulted"
+        elif step.arm == HOLD:
+            reason = "obs-loss"  # hold parameters; the tuner observes nothing
         else:
-            if retry_state is not None:
-                retry_state.record_success()
-            if spans is not None:
-                _tp = spans.now()
-            params = driver.observe(epoch.throughput_mbps)
-            if spans is not None:
-                spans.record("epoch/propose", max(0.0, spans.now() - _tp))
-            if obs is not None:
+            reason = None
+            if step.arm == PROBE:
+                params = driver.current  # probe with the standing proposal
+                observed = None
+            else:
+                observed = epoch.throughput_mbps
+                if spans is not None:
+                    _tp = spans.now()
+                params = driver.observe(observed)
+                if spans is not None:
+                    spans.record("epoch/propose",
+                                 max(0.0, spans.now() - _tp))
+        if obs is not None:
+            if reason is not None:
+                obs.bus.emit(TunerReject(
+                    time=_ev[0], session=journal_session, index=index,
+                    params=tuple(params), reason=reason,
+                ))
+            else:
                 obs.bus.emit(TunerProposal(
                     time=_ev[0], session=journal_session, index=index,
-                    params=tuple(params), observed=epoch.throughput_mbps,
+                    params=tuple(params), observed=observed,
                 ))
                 obs.bus.emit(TunerAccept(
                     time=_ev[0], session=journal_session, index=index,
@@ -548,6 +510,8 @@ def tune_live(
         index += 1
         if journal is not None:
             _write_snapshot()
+        if result.failed:
+            break
     if journal is not None:
         journal.write_end()
     return result
@@ -699,7 +663,10 @@ class SubprocessEpochRunner:
                 if p.returncode is None:
                     try:
                         p.wait(timeout=self.terminate_grace_s)
-                    except Exception:  # pragma: no cover - defensive
+                    except subprocess.TimeoutExpired:  # pragma: no cover
+                        # SIGKILLed above but not reaped within the grace
+                        # (stuck in the kernel): do not block the loop on
+                        # it; any other reap error surfaces.
                         pass
         total = 0.0
         for p, out in zip(procs, outs):

@@ -277,12 +277,12 @@ class FleetService:
         shard one control epoch, retire finished tenants, feed the
         overload breaker.
 
-        With batching on, every shard whose window is batch-eligible
-        this round joins one cross-shard fused advance (same dt and
-        window length by construction, so their clocks stay
-        compatible); blocked or singleton shards take their own
-        :meth:`FleetShard.step_epoch` path.  Either way each shard's trajectory is
-        bit-identical — shards share no state and no RNG streams."""
+        With batching on, every shard with active tenants joins one
+        cross-shard fused advance (same dt and window length by
+        construction, so their clocks stay compatible); a lone active
+        shard takes its own :meth:`FleetShard.step_epoch` path.  Either
+        way each shard's trajectory is bit-identical — shards share no
+        state and no RNG streams."""
         if self.drained:
             raise RuntimeError("fleet already drained")
         for spec, degraded in self.admission.promote(self.now_s):
@@ -415,7 +415,6 @@ class FleetService:
                     "enabled": shard.batch,
                     "occupancy": shard.occupancy().to_dict(),
                     "fused_epochs": shard.fused_epochs(),
-                    "fallback_reasons": shard.fallback_reasons(),
                     "lane_widths": {
                         str(w): n
                         for w, n in sorted(shard.lane_widths().items())

@@ -25,9 +25,9 @@ from repro.sim.batch.shard import advance_spans
 def advance_fused(shards, steps: int) -> dict:
     """Advance every shard's engine ``steps`` steps in lockstep.
 
-    Every shard must be span-eligible for the whole window (the caller
-    checks :func:`~repro.sim.batch.eligibility.unbatchable_lane_reason`
-    per lane) and all shards must share one step size.
+    Every shard must have batching on (a fleet shard's sessions are
+    span-eligible by construction, faulted or not) and all shards must
+    share one step size.
 
     Returns window stats: ``shards``, ``chains`` (stacked chain calls),
     ``rows`` (lane-spans pushed through them), ``widths`` (histogram of

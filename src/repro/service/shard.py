@@ -42,7 +42,6 @@ from repro.service.backpressure import OpGuard
 from repro.service.fusion import advance_fused
 from repro.service.supervisor import Supervisor
 from repro.service.tenant import COMPLETED, FAILED, RUNNING, Tenant
-from repro.sim.batch.eligibility import unbatchable_lane_reason
 from repro.sim.batch.shard import ShardSpanEngine
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine, EngineConfig
@@ -100,12 +99,6 @@ class FleetShard:
         self._fallback = 0
         self._chunks = 0
         self._fused = 0
-        self._fallback_reasons: Counter = Counter()
-        # Dedup guard behind _fallback_reasons: a tenant blocked across
-        # many consecutive windows still counts once per (tenant,
-        # reason) — the tally answers "how many lanes ever fell back,
-        # and why", not "for how many windows".
-        self._fallback_seen: set[tuple[str, str]] = set()
         self._latency_hist = (
             None if metrics is None else metrics.histogram(
                 "repro_fleet_epoch_latency_seconds",
@@ -163,20 +156,15 @@ class FleetShard:
         """Advance the substrate one control-epoch window; returns the
         tenants that reached a terminal state this round.
 
-        When batching is on and every active lane is span-eligible, the
-        whole window runs on :class:`ShardSpanEngine` spans through the
-        window driver :func:`~repro.service.fusion.advance_fused`
-        (bit-identical epochs AND steps); any blocked lane — the lanes
-        are coupled through the shared allocation, so one active fault
-        schedule taints the whole window — routes the window to the
-        scalar loop and tallies why.  Eligibility is re-checked every
-        window, so a shard whose blackout passes rebins back to batched
-        spans with no state handoff (both paths drive the same
-        engine)."""
+        With batching on, the whole window runs on
+        :class:`ShardSpanEngine` spans through the window driver
+        :func:`~repro.service.fusion.advance_fused` (bit-identical
+        epochs AND steps to the scalar loop, blackouts included: a
+        fault scales only its own session's rate).  ``batch=False``
+        steps the scalar loop — the reference shard."""
         if self.active:
             steps = self.window_ticks
-            blockers = self._window_blockers() if self.batch else None
-            if self.batch and not blockers:
+            if self.batch:
                 stats = advance_fused([self], steps)
                 for phase, secs in stats["phase_s"].items():
                     self._phase_s[phase] += secs
@@ -187,11 +175,6 @@ class FleetShard:
                 for _ in range(steps):
                     self.engine.step_once()
                 self._fallback += self.active
-                if blockers:
-                    for name, why in blockers.items():
-                        if (name, why) not in self._fallback_seen:
-                            self._fallback_seen.add((name, why))
-                            self._fallback_reasons[why] += 1
                 path = "scalar"
             if self.metrics is not None:
                 self.metrics.counter(
@@ -200,24 +183,10 @@ class FleetShard:
                 ).inc(float(self.active))
         return self.reap()
 
-    def _window_blockers(self) -> dict[str, str]:
-        """Why this window cannot batch: the blocked active lanes and
-        their reasons (empty when the whole population is
-        span-eligible)."""
-        reasons: dict[str, str] = {}
-        for name, session in self._sessions.items():
-            if session.done:
-                continue
-            why = unbatchable_lane_reason(session)
-            if why is not None:
-                reasons[name] = why
-        return reasons
-
     def fusible(self) -> bool:
         """Whether this window can join a cross-shard fused advance:
-        batching on, at least one active lane, and no blocked lane."""
-        return (self.batch and self.active > 0
-                and not self._window_blockers())
+        batching on and at least one active lane."""
+        return self.batch and self.active > 0
 
     def note_fused_window(self) -> list[Tenant]:
         """Account one window the fleet's fused driver already advanced
@@ -243,10 +212,6 @@ class FleetShard:
             fallback=self._fallback,
             chunks=self._chunks,
         )
-
-    def fallback_reasons(self) -> dict[str, int]:
-        """Tally of per-lane blockers behind the scalar windows."""
-        return dict(self._fallback_reasons)
 
     def lane_widths(self) -> dict[int, int]:
         """Realized span-width distribution: {live lanes -> spans}."""

@@ -11,16 +11,12 @@ bit-identical (epochs AND steps) to the scalar reference — see
 DESIGN.md §15.
 """
 
-from repro.sim.batch.eligibility import (
-    unbatchable_lane_reason,
-    unbatchable_reason,
-)
+from repro.sim.batch.eligibility import unbatchable_reason
 from repro.sim.batch.engine import BatchEngine
 from repro.sim.batch.shard import ShardSpanEngine
 
 __all__ = [
     "BatchEngine",
     "ShardSpanEngine",
-    "unbatchable_lane_reason",
     "unbatchable_reason",
 ]

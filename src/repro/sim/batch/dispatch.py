@@ -193,12 +193,6 @@ class PopulationDispatcher:
         cs: list = []  # each lane's consts, reused by the adopt loop
         for j, (lane, span, session, rec) in enumerate(items):
             engine = span.engine
-            if engine._jit_pos < len(engine._jit_buf):
-                raise RuntimeError(
-                    "epoch dispatched with an undrained jitter batch: "
-                    "the fast path's draw prediction desynchronized "
-                    "from the step loop"
-                )
             c = consts[lane]
             cs.append(c)
             sig_n, sig_r = c[0], c[1]

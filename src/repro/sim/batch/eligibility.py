@@ -2,11 +2,13 @@
 
 The span kernel (:mod:`repro.sim.batch.shard`) advances batch lanes —
 single-session, duration-limited runs (:mod:`repro.sim.batch.engine`) —
-and fleet-shard windows in lockstep.  Everything it cannot express
-falls back to the scalar engine: per run for a batch
-(:func:`unbatchable_reason`), per window for a shard
-(:func:`unbatchable_lane_reason`), so a mixed population always
-completes with bit-identical results.
+and fleet-shard windows in lockstep.  A batch run the kernel cannot
+express falls back to its own scalar engine
+(:func:`unbatchable_reason`), so a mixed population always completes
+with bit-identical results.  Fleet shards need no check: every session
+:meth:`~repro.service.shard.FleetShard.attach` builds moves infinite
+bytes for a bounded duration with no disk cap, and fault schedules
+(blackouts included) ride the kernel.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ def unbatchable_reason(engine: "Engine") -> str | None:
     structure is predictable from step arithmetic alone: one
     driver-owned session per engine, infinite bytes with a duration
     limit (completion cannot depend on the bytes moved), and no
-    mid-epoch state the span solver does not model (fault schedules,
-    joint controllers, sink-driven tenants, journals, live
-    instrumentation).  Retry policies and circuit breakers *are*
-    supported: with no faults they act only inside the epoch dispatch,
+    mid-epoch state the span solver does not model (joint controllers,
+    sink-driven tenants, journals, live instrumentation).  Fault
+    schedules, retry policies and circuit breakers *are* supported: a
+    fault only scales its own session's per-step rate (one more factor
+    in the span chain), and recovery acts inside the epoch dispatch,
     where the span kernel calls the engine's own ``_dispatch_epoch``.
     """
     if engine._started:
@@ -47,8 +50,6 @@ def unbatchable_reason(engine: "Engine") -> str | None:
     s = engine.sessions[0]
     if s.driver is None:
         return "session has no tuner driver"
-    if s.fault_schedule is not None:
-        return "fault schedule"
     if not math.isinf(s.spec.total_bytes):
         return "finite-bytes transfer"
     if s.spec.max_duration_s is None:
@@ -58,39 +59,9 @@ def unbatchable_reason(engine: "Engine") -> str | None:
     return None
 
 
-def unbatchable_lane_reason(session: "TransferSession") -> str | None:
-    """Why one *substrate session* blocks its shard's batched window,
-    or ``None`` if it can ride a vectorized span.
-
-    A fleet shard's lanes share one engine, so this is the per-session
-    analogue of :func:`unbatchable_reason`: anything whose mid-epoch
-    behavior the span kernel does not model forces the *whole window*
-    onto the scalar loop (sessions are coupled through the max-min
-    allocation — one lane's fault changes every other lane's rate).  A fault
-    schedule only blocks while it is still *active*: once every event
-    lies behind the session's epoch index the schedule is inert (rate
-    factor 1.0, no fault kinds) and the session rejoins the lanes —
-    this is how blackout-struck shards rebin back to batched windows.
-    """
-    sched = session.fault_schedule
-    if sched is not None and sched.last_epoch >= session.epoch_index:
-        return "fault schedule"
-    if session.retry_state is not None:
-        return "retry policy"
-    if session.breaker is not None:
-        return "circuit breaker"
-    if not math.isinf(session.spec.total_bytes):
-        return "finite-bytes transfer"
-    if session.spec.max_duration_s is None:
-        return "unbounded duration"
-    if session.disk_cap_fn is not None:
-        return "disk-cap model"
-    return None
-
-
 #: Reasons a lane's window-end dispatch steps its scalar generator
 #: instead of riding a tuner population (repro.sim.batch.dispatch).
-#: Unlike the batch/window reasons above these are advisory per *lane*:
+#: Unlike the batch reasons above these are advisory per *lane*:
 #: a dispatch-fallback lane still rides the vectorized spans — only its
 #: proposals stay per-lane python.
 DISPATCH_UNSUPPORTED = "dispatch:unsupported-tuner"

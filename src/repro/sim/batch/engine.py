@@ -102,8 +102,8 @@ class BatchEngine:
         """Advance every lane to completion; returns one ``run()``-shaped
         trace dict per lane, in lane order."""
         sessions = [e.sessions[0] for e in self.engines]
-        # Batched lanes start at tick 0 and only finish by duration
-        # (finite-bytes and fault-schedule lanes never batch).
+        # Batched lanes start at tick 0 and finish by duration or by
+        # failing in a dispatch (finite-bytes lanes never batch).
         stats = advance_spans(
             [ShardSpanEngine(e) for e in self.engines],
             [s.done_tick for s in sessions],
@@ -111,4 +111,8 @@ class BatchEngine:
         )
         for phase, secs in stats["phase_s"].items():
             self.phase_s[phase] += secs
+        for e, s in zip(self.engines, sessions):
+            # ``run()`` stops stepping once its session is done: a lane
+            # that failed early ends on its failing tick.
+            e.clock.tick = s.state.ticks
         return [{s.name: s.trace} for s in sessions]

@@ -40,7 +40,11 @@ sized draws split at step boundaries into the same value sequence).
 Per sub-span one row gatherer fills one preallocated ``(rows, steps)``
 block — running seconds, step-jitter normals, the
 ``(alloc * eta) * noise_factor`` factor, ramp clocks and epoch
-accumulators — and runs :func:`_span_chain` once.  Step jitter is one
+accumulators, and for a session with a fault in its current epoch the
+per-step fault rate factors — and runs :func:`_span_chain` once.  A
+fault scales only its own session's rate, after the ramp, and the
+allocation reads no fault state, so faulted and clean sessions share
+spans and no fault adds a span break.  Step jitter is one
 sized draw per engine: laid out step-major over the drawing sessions
 (``reshape(k, m).T``), the order the scalar loop consumes the shared
 stream, or taken from the lane's block buffer.  Records materialize per
@@ -60,12 +64,12 @@ and restart-jitter factors pre-drawn as one sized call per stream and
 engine and one ``exp`` over the whole round.
 
 The caller owns eligibility
-(:func:`~repro.sim.batch.eligibility.unbatchable_reason` per engine,
-:func:`~repro.sim.batch.eligibility.unbatchable_lane_reason` per shard
-session): fault schedules, retry/breaker state on shared engines and
-finite bytes stay on the scalar loop.  Batched spans and ``step_once``
-may be interleaved freely between driver calls — both mutate the same
-engine and RNG streams in the same order.
+(:func:`~repro.sim.batch.eligibility.unbatchable_reason` per batch
+engine; a fleet shard's sessions are span-eligible by construction):
+finite bytes, unbounded durations and disk caps stay on the scalar
+loop.  Batched spans and ``step_once`` may be interleaved freely
+between driver calls — both mutate the same engine and RNG streams in
+the same order.
 """
 
 from __future__ import annotations
@@ -251,6 +255,7 @@ def advance_spans(spans, rem, *, groups=None, dispatcher=None) -> dict:
         # -- gather: one row per session live on some step ------------
         RS = np.full((L, k), dt)  # per-step running seconds
         Z = np.zeros((L, k))  # normal draws under the step jitter
+        F = None  # per-step fault rate factors, once a row has a fault
         c1_l: list[float] = []
         tau_l: list[float] = []
         tss0_l: list[float] = []
@@ -281,6 +286,7 @@ def advance_spans(spans, rem, *, groups=None, dispatcher=None) -> dict:
             for lane in span_lanes:
                 s, c1, tau = lane
                 dead = s.dead_ticks
+                tick = s.epoch_ticks
                 s.advance_ticks(k)
                 if dead >= k:
                     # Dead the whole span: every scalar-path output is
@@ -305,6 +311,14 @@ def advance_spans(spans, rem, *, groups=None, dispatcher=None) -> dict:
                     RS[row, dead] = dt - lead  # partial lead step
                     s.lead_s = 0.0
                     nflag += 1
+                sched = s.fault_schedule
+                if sched is not None and sched.events_at(s.epoch_index):
+                    # The step loop's own rule, step by step: a stream
+                    # crash zeroes the rate from its hit tick on.
+                    if F is None:
+                        F = np.ones((L, k))
+                    F[row] = [s.fault_rate_factor(tick + j)
+                              for j in range(k)]
                 tau_l.append(tau)
                 tss0_l.append(s.time_since_start)
                 er0_l.append(s.epoch_run_s)
@@ -359,6 +373,8 @@ def advance_spans(spans, rem, *, groups=None, dispatcher=None) -> dict:
             if nrows < L:
                 RS = RS[:nrows]
                 Z = Z[:nrows]
+                if F is not None:
+                    F = F[:nrows]
             if pop_rows:
                 # loc + sigma*z per element, loc = -0.5*sigma*sigma —
                 # bitwise the sized normal draw.  Entries never drawn
@@ -372,7 +388,7 @@ def advance_spans(spans, rem, *, groups=None, dispatcher=None) -> dict:
                     Z[pop_rows] = locs + sigs * Z[pop_rows]
             B, MV, RREC, er, eb = _span_chain(
                 RS, Z, np.array(c1_l), np.array(tau_l), np.array(tss0_l),
-                np.array(er0_l), np.array(eb0_l), dt,
+                np.array(er0_l), np.array(eb0_l), dt, F,
             )
             # Plain python floats: downstream consumers (close_epoch,
             # JSON cache entries, status documents) must not see
@@ -506,15 +522,17 @@ def _dispatch_predrawn(pending) -> None:
             )
 
 
-def _span_chain(RS, Z, c1, tau, tss0, er0, eb0, dt):
+def _span_chain(RS, Z, c1, tau, tss0, er0, eb0, dt, F=None):
     """The ramp/rate/bytes matrix chain of a span.
 
     The one vectorized form of the scalar loop's per-step arithmetic.
     Inputs hold one row per session: ``RS`` the per-step running seconds
     (0.0 on dead steps), ``Z`` the step-jitter normals (overwritten),
     ``c1`` the session's ``(alloc * eta) * noise_factor``, ``tau`` its
-    slow-start constant, and ``tss0``/``er0``/``eb0`` its ramp clock and
-    epoch accumulators entering the span.
+    slow-start constant, ``tss0``/``er0``/``eb0`` its ramp clock and
+    epoch accumulators entering the span, and ``F`` (optional) its
+    per-step fault rate factors, applied last as the scalar loop does
+    (1.0 on clean rows: ``x * 1.0 == x``).
 
     Every operation is operand-for-operand the scalar loop's: buffer
     reuse via ``out=`` keeps the scalar operand order, and IEEE division
@@ -549,6 +567,8 @@ def _span_chain(RS, Z, c1, tau, tss0, er0, eb0, dt):
     np.exp(Z, out=Z)  # per-element scalar np.exp (lognormal_factor)
     np.multiply(c1[:, None], Z, out=Z)
     np.multiply(Z, T, out=Z)  # Z = RATE = (c1 * J) * RAMP
+    if F is not None:
+        np.multiply(Z, F, out=Z)  # RATE * fault factor
     np.multiply(Z, MB, out=T)
     MV = T * RS  # (RATE * MB) * RS
     np.divide(MV, MB, out=T)

@@ -25,9 +25,7 @@ load and each session's (done, restarting, params) state, which only
 changes at control-epoch boundaries, load-schedule transitions, fault
 events and session start/stop.  With ``EngineConfig.fast_path`` (the
 default) the engine caches the allocation phase on exactly that
-change-point key and batches the per-step lognormal jitter draws into
-one vectorized draw per epoch span, consumed in the order the scalar
-path would draw them — fast-path runs are bit-identical to
+change-point key — fast-path runs are bit-identical to
 ``fast_path=False`` runs (see DESIGN.md §10).
 """
 
@@ -37,15 +35,20 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.core.aggregate import JointTuner
 from repro.core.base import TunerDriver
 from repro.endpoint.cpu import CpuTask, context_switch_efficiency, fair_shares
 from repro.endpoint.host import HostSpec
 from repro.endpoint.load import ExternalLoad, LoadSchedule
-from repro.faults.breaker import OPEN
-from repro.faults.events import OBS_LOSS, SESSION_ABORT
+from repro.faults.recovery import (
+    FAIL,
+    FALLBACK,
+    HOLD,
+    PROBE,
+    RELAUNCH,
+    fallback_params,
+    recover_epoch,
+)
 from repro.gridftp.client import ClientModel
 from repro.net.fairshare import max_min_fair_allocation
 from repro.net.flows import FlowGroup
@@ -74,10 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: Reserved flow-group / CPU-task names for external load.
 EXT_CMP = "ext.cmp"
 EXT_TFR = "ext.tfr"
-
-#: Shared empty jitter buffer (an exhausted batch and "no batch" are the
-#: same state: fall back to scalar draws).
-_NO_JITTER = np.empty(0)
 
 #: :meth:`Engine.snapshot` layout.  2 holds the sessions' tick counts;
 #: 1 held float seconds, which cannot round-trip them at every dt.
@@ -113,11 +112,10 @@ class EngineConfig:
         The external transfer runs ``max(1, ext_tfr // this)`` processes
         (a realistic globus-url-copy invocation for large stream counts).
     fast_path:
-        Cache the allocation phase between change points and batch the
-        per-step jitter draws (bit-identical to the reference path, just
-        faster).  ``False`` recomputes everything every step — the
-        reference the equivalence tests and the perf gate compare
-        against.
+        Cache the allocation phase between change points (bit-identical
+        to the reference path, just faster).  ``False`` recomputes
+        everything every step — the reference the equivalence tests and
+        the perf gate compare against.
     """
 
     dt: float = 1.0
@@ -294,21 +292,6 @@ class Engine:
             s.name: self.topology.path(s.spec.path_name).tcp.slow_start_tau
             for s in self.sessions
         }
-        # Batched per-step jitter: one vectorized normal draw per epoch
-        # span, consumed left to right.  Only safe when the number of
-        # draws until the next epoch closure is predictable: duration-
-        # limited sessions (infinite bytes) whose dispatch draws all go
-        # through _dispatch_epoch (no joint controllers) and a non-zero
-        # step sigma (sigma == 0 never draws).  ``run(until_s=...)``
-        # additionally disables it (the stop can land mid-span).
-        self._jit_buf = _NO_JITTER
-        self._jit_pos = 0
-        self._batch_jitter = (
-            self.config.fast_path
-            and not self.controllers
-            and self.config.noise_sigma_step > 0
-            and all(math.isinf(s.spec.total_bytes) for s in self.sessions)
-        )
         # Event context for telemetry hooks fired from within a dispatch
         # (breaker transitions, retry attempts): sim time and epoch index
         # of the epoch being dispatched.
@@ -355,10 +338,7 @@ class Engine:
 
         The session starts its first control epoch at the current sim
         time, paying the same initial-launch restart cost a
-        construction-time session pays.  Dynamic membership invalidates
-        the jitter-batch draw prediction, so batching is disabled from
-        here on (already-drawn values are still consumed in order — the
-        RNG stream stays bit-exact).
+        construction-time session pays.
         """
         name = s.spec.name
         if name in self._by_name:
@@ -371,7 +351,6 @@ class Engine:
         if s.driver is None:
             self._check_sink_session(s)
         s.bind_dt(self.config.dt)
-        self._batch_jitter = False
         self.sessions.append(s)
         self._by_name[name] = s
         self._tau[name] = self.topology.path(s.spec.path_name).tcp.slow_start_tau
@@ -435,11 +414,6 @@ class Engine:
     def run(self, until_s: float | None = None) -> dict[str, Trace]:
         """Advance until all sessions finish (or ``until_s``); returns the
         per-session traces."""
-        if until_s is not None:
-            # A bounded run can stop mid-epoch; the jitter-batch
-            # prediction assumes every started span runs to its closure,
-            # so keep such runs on per-step draws (still bit-identical).
-            self._batch_jitter = False
         self._ensure_started()
         while not all(s.done for s in self.sessions):
             if until_s is not None and self.clock.now >= until_s - 1e-9:
@@ -473,11 +447,6 @@ class Engine:
         excluded by design — resume reconstructs them by replaying the
         journal (:mod:`repro.checkpoint.replay`).
         """
-        if self._jit_pos < len(self._jit_buf):
-            raise RuntimeError(
-                "snapshot with an undrained jitter batch: the RNG state "
-                "would include draws the step loop has not consumed yet"
-            )
         return {
             "format": SNAPSHOT_FORMAT,
             "tick": self.clock.tick,
@@ -513,12 +482,8 @@ class Engine:
         self.clock.tick = int(state["tick"])
         self._last_cmp_frac = float(state["last_cmp_frac"])
         self.rng.set_state(state["rng"])
-        # Snapshots are only written with a drained jitter batch, so the
-        # restored RNG state carries no pre-drawn values.
         self._alloc_key = None
         self._alloc_val = None
-        self._jit_buf = _NO_JITTER
-        self._jit_pos = 0
         for name, sess_state in state["sessions"].items():
             self._by_name[name].restore_snapshot(
                 sess_state, epochs_by_session.get(name, [])
@@ -777,9 +742,6 @@ class Engine:
             cmp_frac, alloc, eta = self._allocation_phase(load)
         self._last_cmp_frac = cmp_frac
 
-        if self._batch_jitter and self._jit_pos >= len(self._jit_buf):
-            self._refill_jitter()
-
         spans = self.obs.spans if self.obs is not None else None
 
         # Noise/advance phase: move bytes and advance per-session clocks.
@@ -788,9 +750,6 @@ class Engine:
         sigma_step = self.config.noise_sigma_step
         noise_rng = self.rng.throughput_noise
         taus = self._tau
-        jit_buf = self._jit_buf
-        jit_pos = self._jit_pos
-        jit_len = len(jit_buf)
         for s in self.sessions:
             if s.done:
                 continue
@@ -799,17 +758,9 @@ class Engine:
             moved = 0.0
             if run_s > 0 and s.name in alloc:
                 ramp = _ramp_average(taus[s.name], s.time_since_start, run_s)
-                if jit_pos < jit_len:
-                    # Batched draw: same normal sequence as the scalar
-                    # calls (numpy's sized draws are bit-identical), with
-                    # exp applied per consumed scalar as in
-                    # lognormal_factor.
-                    jitter = float(np.exp(jit_buf[jit_pos]))
-                    jit_pos += 1
-                else:
-                    jitter = lognormal_factor(noise_rng, sigma_step)
+                jitter = lognormal_factor(noise_rng, sigma_step)
                 rate = (alloc[s.name] * eta * s.noise_factor * jitter
-                        * ramp * s.fault_rate_factor())
+                        * ramp * s.fault_rate_factor(s.epoch_ticks))
                 moved = s.state.account(rate * MB * run_s, dt)
                 s.time_since_start += run_s
             else:
@@ -822,7 +773,6 @@ class Engine:
             s.epoch_ticks += 1
             s.epoch_run_s += run_s
             s.epoch_bytes += moved
-        self._jit_pos = jit_pos
         if spans is not None:
             spans.record("epoch/transfer", max(0.0, spans.now() - _t0))
 
@@ -871,47 +821,6 @@ class Engine:
                     epochs=sum(len(x.trace.epochs) for x in self.sessions),
                 ))
 
-    # -- fast-path jitter batching ----------------------------------------
-
-    def _refill_jitter(self) -> None:
-        """Draw the whole upcoming span's step jitters in one vectorized
-        call.
-
-        ``Generator.normal(loc, scale, size=n)`` produces the identical
-        value sequence (and identical end state) as ``n`` scalar calls,
-        so consuming the buffer left to right keeps the
-        ``throughput_noise`` stream bit-exact with the reference path.
-        The span ends at the first step on which *any* session closes an
-        epoch: every dispatch draw and every journal snapshot therefore
-        sees a drained buffer.
-        """
-        n = self._predict_jitter_draws()
-        if n > 0:
-            sigma = self.config.noise_sigma_step
-            self._jit_buf = self.rng.throughput_noise.normal(
-                -0.5 * sigma * sigma, sigma, size=n
-            )
-        else:
-            self._jit_buf = _NO_JITTER
-        self._jit_pos = 0
-
-    def _predict_jitter_draws(self) -> int:
-        """Count the step-jitter draws between now and the end of the
-        step on which the next epoch closes (inclusive).
-
-        The span is the fewest steps until any live session's epoch
-        ticks reach its close tick or its transfer ticks its done tick;
-        a session draws one jitter per span step past its restart
-        window's dead steps.  Only called for duration-limited sessions
-        (infinite bytes), whose completion does not depend on the bytes
-        moved.
-        """
-        live = [s for s in self.sessions if not s.done]
-        n = max(1, min((min(s.close_tick - s.epoch_ticks,
-                            s.done_tick - s.state.ticks) for s in live),
-                       default=0))
-        return sum(n - min(n, s.dead_ticks) for s in live)
-
     def _dispatch_epoch(
         self, s: TransferSession, rec, *,
         noise: float | None = None, rjit: float | None = None,
@@ -924,12 +833,6 @@ class Engine:
         batched shard sizes one draw per stream over a whole dispatch
         round — the same value sequence as per-dispatch scalar draws);
         ``None`` draws from the streams here, the scalar behavior."""
-        if self._jit_pos < len(self._jit_buf):
-            raise RuntimeError(
-                "epoch dispatched with an undrained jitter batch: the "
-                "fast path's draw prediction desynchronized from the "
-                "step loop"
-            )
         obs = self.obs
         end_t = rec.start + rec.duration
         if obs is not None:
@@ -958,7 +861,7 @@ class Engine:
         sink = self.epoch_sink if s.driver is None else None
 
         # Fixed per-epoch draw pattern: one value from each stream no
-        # matter which recovery path runs below, so fault policies are
+        # matter which recovery arm runs below, so fault policies are
         # compared on identical noise realizations.
         if noise is None:
             noise = lognormal_factor(
@@ -971,109 +874,75 @@ class Engine:
         # The backoff draw is the faults stream's only consumer and only
         # a retry policy uses it; without one, skipping it cannot
         # perturb any later draw.
-        if s.retry_state is not None:
-            backoff_u = float(self._rng_faults.uniform(-1.0, 1.0))
-        else:
-            backoff_u = 0.0
+        backoff_u = (float(self._rng_faults.uniform(-1.0, 1.0))
+                     if s.retry_state is not None else None)
+        step = recover_epoch(rec.fault, rec.faulted, s.retry_state,
+                             s.breaker, u=backoff_u)
 
-        if s.retry_state is not None:
-            s.retry_state.next_epoch()
-        prev_state = s.breaker.state if s.breaker is not None else None
-        if s.breaker is not None:
-            s.breaker.record_epoch(rec.faulted)
-
-        # A session abort continues only while the retry budget allows.
-        if (rec.fault == SESSION_ABORT and s.retry_state is not None
-                and not s.retry_state.can_retry()):
+        if step.arm == FAIL:
             s.failed = True
             if sink is not None:
                 sink(s, rec)
-            if obs is not None:
-                obs.bus.emit(TunerReject(
-                    time=end_t, session=s.name, index=rec.index,
-                    params=tuple(s.params), reason="budget-exhausted",
-                ))
-            return
-
-        if s.breaker is not None and s.breaker.state == OPEN:
-            # Pinned at the safe default: tuner bypassed (its search
+            reason = "budget-exhausted"
+        elif step.arm == FALLBACK:
+            # Pinned at the safe default, set-and-hold (only the
+            # transition pays a relaunch): tuner bypassed (its search
             # state frozen), no retry hammering, the tool left running.
-            self._enter_fallback(s, entering=prev_state != OPEN,
-                                 noise=noise, rjit=rjit)
-            if obs is not None:
-                obs.bus.emit(TunerReject(
-                    time=end_t, session=s.name, index=rec.index,
-                    params=tuple(s.params), reason="breaker-open",
-                ))
-            return
-
-        if s.breaker is not None and prev_state == OPEN:
-            # Cooldown over: probe with the tuner's standing proposal.
-            # The fallback epochs' throughput is never observed.
-            probe = tuple(s.driver.current)
-            if obs is not None:
-                obs.bus.emit(TunerProposal(
-                    time=end_t, session=s.name, index=rec.index,
-                    params=probe, observed=None,
-                ))
-            self._adopt(s, s.driver.current, force_restart=True,
-                        noise=noise, rjit=rjit)
-            if obs is not None:
-                obs.bus.emit(TunerAccept(
-                    time=end_t, session=s.name, index=rec.index,
-                    params=probe,
-                ))
-            return
-
-        if rec.faulted:
+            pm = s.param_map
+            params = fallback_params(s.breaker, s.space, s.params,
+                                     pm.nc_dim, pm.np_dim)
+            changed = params != s.params
+            s.params = params
+            s.noise_factor = noise
+            if step.entering or changed:
+                s.begin_restart(self._restart_dead_s(s, rjit=rjit))
+            reason = "breaker-open"
+        elif step.arm == RELAUNCH:
             # The tool died mid-epoch: the tuner must not see this
             # epoch's throughput.  Relaunch, charging the restart window
             # plus the policy's backoff.
-            backoff = 0.0
-            if s.retry_state is not None and s.retry_state.can_retry():
-                backoff = s.retry_state.record_failure(u=backoff_u)
             if sink is not None:
                 sink(s, rec)  # tenant journals the fault; params held
             self._adopt(s, s.params, force_restart=True,
-                        extra_dead_s=backoff, noise=noise, rjit=rjit)
-            if obs is not None:
-                obs.bus.emit(TunerReject(
-                    time=end_t, session=s.name, index=rec.index,
-                    params=tuple(s.params), reason="faulted",
-                ))
-            return
-
-        if s.retry_state is not None:
-            s.retry_state.record_success()
-
-        if rec.fault == OBS_LOSS:
+                        extra_dead_s=step.backoff_s, noise=noise, rjit=rjit)
+            reason = "faulted"
+        elif step.arm == HOLD:
             # Control channel dropped the measurement: hold the current
             # parameters; the tuner observes nothing.
             if sink is not None:
                 sink(s, rec)
             self._adopt(s, s.params, noise=noise, rjit=rjit)
+            reason = "obs-loss"
+        else:
+            if step.arm == PROBE:
+                # Cooldown over: probe with the tuner's standing
+                # proposal.  The fallback epochs' throughput is never
+                # observed.
+                proposal, observed = tuple(s.driver.current), None
+            elif sink is not None:
+                proposed = sink(s, rec)
+                proposal = s.params if proposed is None else tuple(proposed)
+                observed = rec.observed
+            else:
+                proposal = s.driver.observe(rec.observed)
+                observed = rec.observed
             if obs is not None:
-                obs.bus.emit(TunerReject(
+                obs.bus.emit(TunerProposal(
                     time=end_t, session=s.name, index=rec.index,
-                    params=tuple(s.params), reason="obs-loss",
+                    params=tuple(proposal), observed=observed,
+                ))
+            self._adopt(s, proposal, force_restart=step.arm == PROBE,
+                        noise=noise, rjit=rjit)
+            if obs is not None:
+                obs.bus.emit(TunerAccept(
+                    time=end_t, session=s.name, index=rec.index,
+                    params=tuple(proposal),
                 ))
             return
-
-        if sink is not None:
-            proposed = sink(s, rec)
-            proposal = s.params if proposed is None else tuple(proposed)
-        else:
-            proposal = s.driver.observe(rec.observed)
         if obs is not None:
-            obs.bus.emit(TunerProposal(
+            obs.bus.emit(TunerReject(
                 time=end_t, session=s.name, index=rec.index,
-                params=tuple(proposal), observed=rec.observed,
-            ))
-        self._adopt(s, proposal, noise=noise, rjit=rjit)
-        if obs is not None:
-            obs.bus.emit(TunerAccept(
-                time=end_t, session=s.name, index=rec.index,
-                params=tuple(proposal),
+                params=tuple(s.params), reason=reason,
             ))
 
     def _restart_dead_s(
@@ -1095,23 +964,6 @@ class Engine:
                 self.client.restart.max_fraction_of_epoch * s.spec.epoch_s,
             )
         return dead
-
-    def _enter_fallback(
-        self, s: TransferSession, *, entering: bool,
-        noise: float, rjit: float,
-    ) -> None:
-        """Hold the session at the breaker's safe default (set-and-hold:
-        only the transition pays a relaunch)."""
-        params = s.fallback_params()
-        changed = params != s.params
-        s.params = params
-        s.noise_factor = noise
-        if entering or changed:
-            dead = self._restart_dead_s(s, rjit=rjit)
-            s.begin_restart(
-                min(dead,
-                    s.spec.epoch_s * self.client.restart.max_fraction_of_epoch)
-            )
 
     def _adopt(
         self,

@@ -271,11 +271,12 @@ class TransferSession:
             target += self.spec.epoch_offset_s
         return target
 
-    def fault_rate_factor(self) -> float:
-        """Throughput multiplier the fault schedule imposes on the current
-        step: 0 during blackouts/aborts and after a stream crash's hit
-        point, ``1 - severity`` on degraded links, ``1/(1+severity)``
-        during load spikes, 1 otherwise."""
+    def fault_rate_factor(self, tick: int) -> float:
+        """Throughput multiplier the fault schedule imposes on the step
+        at epoch tick ``tick`` of the current epoch: 0 during
+        blackouts/aborts and from a stream crash's hit point on,
+        ``1 - severity`` on degraded links, ``1/(1+severity)`` during
+        load spikes, 1 otherwise."""
         if self.fault_schedule is None:
             return 1.0
         idx = self.epoch_index
@@ -283,7 +284,7 @@ class TransferSession:
         hard = self.fault_schedule.hard_fault_at(idx)
         if hard is not None:
             if hard.kind == STREAM_CRASH:
-                frac = self.epoch_elapsed / self.epoch_target_s()
+                frac = (tick * self.dt) / self.epoch_target_s()
                 if frac >= hard.at_fraction - 1e-12:
                     factor = 0.0
             else:
@@ -301,18 +302,6 @@ class TransferSession:
         if self.fault_schedule.observation_lost(self.epoch_index):
             return OBS_LOSS
         return None
-
-    def fallback_params(self) -> tuple[int, ...]:
-        """The breaker's safe default mapped into this session's space
-        (dimensions the map fixes are left at their current value)."""
-        if self.breaker is None:
-            raise RuntimeError("session has no circuit breaker")
-        params = list(self.params)
-        if self.param_map.nc_dim is not None:
-            params[self.param_map.nc_dim] = self.breaker.fallback_nc
-        if self.param_map.np_dim is not None:
-            params[self.param_map.np_dim] = self.breaker.fallback_np
-        return self.space.fbnd(tuple(params))
 
     # -- step/epoch bookkeeping (driven by the engine) ----------------------
 
@@ -391,11 +380,19 @@ class TransferSession:
 
     def begin_restart(self, dead_time_s: float) -> None:
         """Open a restart window: whole dead steps, then the remainder
-        at the start of the first live step."""
+        at the start of the first live step.
+
+        A remainder within 1e-9 s of a whole step (the epoch-close
+        tolerance) is one more dead step: ``divmod(27.0, 0.1)`` leaves
+        ``0.0999999999999985``, and a ~1e-15 s lead step would cancel
+        the slow-start ramp to a negative rate."""
         if dead_time_s < 0:
             raise ValueError("dead_time_s must be non-negative")
-        dead, self.lead_s = divmod(dead_time_s, self.dt)
+        dead, lead = divmod(dead_time_s, self.dt)
+        if self.dt - lead < 1e-9:
+            dead, lead = dead + 1.0, 0.0
         self.dead_ticks = int(dead)
+        self.lead_s = lead
         self.time_since_start = 0.0
 
     # -- checkpoint support --------------------------------------------------

@@ -7,11 +7,16 @@ import time
 
 import pytest
 
+from repro.checkpoint.replay import replay_epochs
 from repro.core import NmTuner, StaticTuner
 from repro.core.params import concurrency_space
+from repro.core.registry import make_tuner
+from repro.experiments.runner import make_session, run_single
+from repro.experiments.scenarios import ANL_UC
 from repro.faults import (
     BLACKOUT,
     OBS_LOSS,
+    SESSION_ABORT,
     CircuitBreaker,
     EpochFault,
     FaultEvent,
@@ -187,6 +192,48 @@ class TestTuneLiveFaults:
                         epoch_s=10.0, total_bytes=50e6, sleep=NO_SLEEP)
         assert res.total_bytes == pytest.approx(50e6)
 
+    def test_sim_and_live_take_the_same_recovery_transitions(self):
+        """One campaign — two blackout bursts, a retry budget, a breaker
+        and an abort within budget — through run_single and through
+        tune_live with a fake runner: throughput differs, but every
+        epoch's fault, retry and breaker columns agree, and replay
+        verifies the simulated records."""
+        campaign = FaultSchedule.bursts(
+            2, n_epochs=20, n_bursts=2, burst_len=3
+        ).merge(FaultSchedule.abort(10))
+
+        def kit():
+            return dict(
+                fault_schedule=campaign,
+                retry_policy=RetryPolicy(max_retries_per_session=12),
+                breaker=CircuitBreaker(failure_threshold=2,
+                                       cooldown_epochs=2),
+            )
+
+        sim = run_single(ANL_UC, make_tuner("nm", 3), duration_s=600.0,
+                         seed=3, cache=False, **kit())
+        live = tune_live(make_tuner("nm", 3), SPACE, (2,),
+                         _deterministic_runner(), epoch_s=30.0,
+                         max_epochs=20, sleep=NO_SLEEP, **kit())
+
+        def columns(rows):
+            return [(r.fault, r.faulted, r.retries, r.breaker, r.tuned)
+                    for r in rows]
+
+        assert len(sim.epochs) == 20 and not live.failed
+        assert columns(sim.epochs) == columns(live.epochs)
+        assert {"open", "half-open"} <= {r.breaker for r in sim.epochs}
+        assert SESSION_ABORT in {r.fault for r in sim.epochs}
+        assert sim.epochs[-1].retries > 0
+        session = make_session("main", ANL_UC.main_path,
+                               make_tuner("nm", 3), duration_s=600.0)
+        kw = kit()
+        replay = replay_epochs(
+            make_tuner("nm", 3), session.space, session.x0, sim.epochs,
+            retry_policy=kw["retry_policy"], breaker=kw["breaker"],
+        )
+        assert replay.epochs_replayed == 20
+
 
 class TestParseLastCount:
     def test_takes_last_parseable_line(self):
@@ -291,6 +338,33 @@ class TestSubprocessRunnerHardening:
         runner = SubprocessEpochRunner(str(exe), parse_bytes=float)
         with pytest.raises(ValueError):
             runner(1, 1, 0.5)
+
+    def test_reap_errors_other_than_a_timeout_surface(self):
+        """The final reap swallows only a timed wait's TimeoutExpired;
+        any other error from ``wait`` reaches the caller."""
+        procs = []
+
+        def break_reap(copy, proc):
+            procs.append(proc)
+
+            def wait(timeout=None):
+                raise ChildProcessError("reap failed")
+
+            proc.wait = wait
+            raise RuntimeError("hook failed mid-launch")
+
+        runner = SubprocessEpochRunner(
+            BYTE_PUMP_PROGRESS, parse_bytes=parse_last_count,
+            on_launch=break_reap,
+        )
+        try:
+            with pytest.raises(ChildProcessError, match="reap failed"):
+                runner(1, 2, 5.0)
+        finally:
+            for p in procs:
+                del p.wait  # the class's own wait reaps the child
+                p.wait(timeout=5.0)
+        assert procs[0].returncode == -signal.SIGKILL
 
     def test_validation(self):
         with pytest.raises(ValueError):

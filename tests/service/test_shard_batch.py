@@ -7,6 +7,14 @@ tenant.  The batched path is an optimization, never a semantic.
 """
 
 from repro.experiments.scenarios import SCENARIOS
+from repro.faults import (
+    BLACKOUT,
+    LINK_DEGRADE,
+    LOAD_SPIKE,
+    OBS_LOSS,
+    STREAM_CRASH,
+    FaultSchedule,
+)
 from repro.service.shard import FleetShard
 from repro.service.tenant import COMPLETED, Tenant, TenantChaos, TenantSpec
 
@@ -72,7 +80,6 @@ class TestBatchedWindowEquivalence:
         occ = shard.occupancy()
         assert occ.fallback == 0
         assert occ.batched > 0
-        assert shard.fallback_reasons() == {}
 
     def test_heterogeneous_tuners_and_staggered_budgets(self):
         """Different tuners and epoch budgets per lane: lane membership
@@ -108,9 +115,10 @@ class TestBatchedWindowEquivalence:
 
 class TestMixedShardFallback:
     def test_blackout_falls_back_then_rebins(self):
-        """An active fault schedule blocks the whole window (lanes are
-        coupled through the allocation); once the schedule is inert the
-        shard rebins to batched windows — bit-identical throughout."""
+        """A blackout scales only its own sessions' rates (the shared
+        allocation reads no fault state), so the struck windows stay
+        batched like every other — bit-identical throughout, nothing
+        falls back to the scalar loop."""
         batched, scalar = _shard(True), _shard(False)
         ta = [_tenant(f"b{i}", epochs=5, seed=i) for i in range(8)]
         tb = [_tenant(f"b{i}", epochs=5, seed=i) for i in range(8)]
@@ -124,10 +132,10 @@ class TestMixedShardFallback:
             if not batched.active and not scalar.active:
                 break
         _assert_twins_equal(ta, sa, tb, sb)
+        assert any(r.faulted for r in ta[0].records)
         occ = batched.occupancy()
-        assert occ.fallback == 8
-        assert occ.batched > 0
-        assert batched.fallback_reasons() == {"fault schedule": 8}
+        assert occ.fallback == 0
+        assert occ.batched == scalar.occupancy().fallback
 
     def test_blackout_restart_crash_storm(self):
         """The kitchen sink: blackout round, a supervised crash, and
@@ -156,24 +164,35 @@ class TestMixedShardFallback:
         _assert_twins_equal(ta, sa, tb, sb)
         assert ta[0].restarts == 1
         occ = batched.occupancy()
-        assert occ.fallback > 0 and occ.batched > 0
-        assert set(batched.fallback_reasons()) == {"fault schedule"}
+        assert occ.fallback == 0 and occ.batched > 0
 
+    def test_bernoulli_campaigns_on_every_other_tenant(self):
+        """Seeded campaigns of crashes, blackouts, lost measurements,
+        degraded links and load spikes on every other tenant: faulted
+        and clean lanes share every window, which stays batched."""
+        kinds = (STREAM_CRASH, BLACKOUT, OBS_LOSS, LINK_DEGRADE, LOAD_SPIKE)
 
-class TestFallbackReasonDedup:
-    def test_multi_window_blocker_counts_each_lane_once(self):
-        """A tenant blocked across several consecutive windows tallies
-        once per (tenant, reason) — the tally answers "how many lanes
-        ever fell back", not "for how many windows"."""
-        shard = _shard(True)
-        tenants = [_tenant(f"d{i}", epochs=6, seed=i) for i in range(8)]
-        _attach_all(shard, tenants)
-        shard.step_epoch()
-        shard.inject_blackout(3)  # blocks the next three windows
-        _drive(shard)
-        occ = shard.occupancy()
-        assert occ.fallback == 24  # 8 lanes x 3 scalar windows
-        assert shard.fallback_reasons() == {"fault schedule": 8}
+        def mk():
+            return [_tenant(f"q{i}", epochs=8, seed=i,
+                            tuner=("cd", "nm", "cs")[i % 3])
+                    for i in range(6)]
+
+        batched, scalar = _shard(True, seed=5), _shard(False, seed=5)
+        ta, tb = mk(), mk()
+        sa, sb = _attach_all(batched, ta), _attach_all(scalar, tb)
+        for sessions in (sa, sb):
+            for i, name in enumerate(sessions):
+                if i % 2 == 0:
+                    sessions[name].fault_schedule = FaultSchedule.bernoulli(
+                        seed=i, n_epochs=8, fault_rate=0.5, kinds=kinds)
+        _drive(batched)
+        _drive(scalar)
+        _assert_twins_equal(ta, sa, tb, sb)
+        assert {r.fault for t in ta for r in t.records} >= {
+            STREAM_CRASH, BLACKOUT, OBS_LOSS}
+        occ = batched.occupancy()
+        assert occ.fallback == 0
+        assert occ.batched == scalar.occupancy().fallback
 
 
 class TestCrossShardFusion:
@@ -283,9 +302,9 @@ class TestCrossShardFusion:
         assert all(v > 0.0 for v in block["phase_s"].values())
 
     def test_blocked_shard_drops_out_of_fusion_then_rejoins(self):
-        """A blackout on one shard routes that shard to the scalar
-        window while the other keeps batching; trajectories match the
-        never-fused twins throughout."""
+        """A blackout on one shard no longer blocks it: both shards fuse
+        every window, and trajectories match the never-fused twins
+        throughout."""
         from repro.service import FleetService
 
         def build(batch):
@@ -311,11 +330,11 @@ class TestCrossShardFusion:
         for name in fused.tenants:
             assert (fused.tenants[name].records
                     == scalar.tenants[name].records), name
+        assert any(r.faulted for r in fused.tenants["x00"].records)
         doc = fused.status()
-        assert doc["batch"]["anl-uc"]["fallback_reasons"] == {
-            "fault schedule": 3}
-        # The blacked-out shard still fused before and after the block.
-        assert doc["batch"]["anl-uc"]["fused_epochs"] > 0
+        for block in doc["batch"].values():
+            assert block["occupancy"]["fallback"] == 0
+            assert block["fused_epochs"] == block["occupancy"]["batched"]
 
 
 class TestOccupancySurface:
@@ -352,6 +371,6 @@ class TestOccupancySurface:
         assert block["enabled"] is True
         occ = block["occupancy"]
         assert occ["batched"] > 0 and occ["fallback"] == 0
-        assert block["fallback_reasons"] == {}
+        assert "fallback_reasons" not in block
         assert set(block["lane_widths"]) == {"1"}
         assert block["dispatch_groups"] == {}

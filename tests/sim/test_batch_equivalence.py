@@ -7,7 +7,7 @@ arguments.  These tests pin that contract across the tuner matrix on
 both stock scenarios with the fast path on and off, across
 heterogeneous populations (mixed tuners, durations, load schedules, a
 2-D ``tune_np`` lane), at step sizes no binary fraction represents,
-and across the automatic per-run scalar fallback, plus the
+across faulted lanes under every recovery policy, plus the
 :class:`BatchEngine` construction-time validation.
 """
 
@@ -34,6 +34,12 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import ANL_TACC, ANL_UC
 from repro.faults import (
+    BLACKOUT,
+    KINDS,
+    LINK_DEGRADE,
+    LOAD_SPIKE,
+    OBS_LOSS,
+    SESSION_ABORT,
     STREAM_CRASH,
     CircuitBreaker,
     FaultEvent,
@@ -136,9 +142,9 @@ def test_homogeneous_seed_replicates_are_bit_identical():
 
 
 def test_unbatchable_specs_fall_back_per_run():
-    """A fault-schedule lane cannot batch; it must fall back to its own
-    scalar engine while its siblings batch — results identical, the
-    fallback charged to occupancy with its reason."""
+    """A fault-schedule lane rides the batch beside its clean siblings
+    (a fault scales only its own rate) — results identical, nothing
+    charged to the per-run scalar fallback."""
     faulty = SingleRunSpec(
         ANL_UC, make_tuner("cs", SEED), duration_s=DURATION, seed=SEED,
         fault_schedule=FaultSchedule(
@@ -154,11 +160,10 @@ def test_unbatchable_specs_fall_back_per_run():
     before, reasons_before = occupancy(), fallback_reasons()
     _assert_batch_matches_scalar([clean[0], faulty, *clean[1:]], batch=4)
     delta = occupancy() - before
-    assert delta.batched == 3
-    assert delta.fallback == 1
+    assert delta.batched == 4
+    assert delta.fallback == 0
     assert delta.chunks == 1
-    assert (fallback_reasons().get("fault schedule", 0)
-            == reasons_before.get("fault schedule", 0) + 1)
+    assert fallback_reasons() == reasons_before
 
 
 # -- population dispatch -----------------------------------------------------
@@ -228,16 +233,17 @@ def test_recovery_machinery_lane_keeps_ladder_with_reason():
 
 
 def _lane(dt, tuner_name, seed, *, offset=0.0, duration=DURATION,
-          load=None):
+          load=None, **recovery):
     """A single-session engine at step size ``dt`` (``build_single_engine``
-    fixes ``dt = 1``), with an optional first-epoch offset."""
+    fixes ``dt = 1``), with an optional first-epoch offset and fault
+    schedule, retry policy and breaker."""
     tuner = make_tuner(tuner_name, seed)
     base = make_session("main", ANL_UC.main_path, tuner,
                         duration_s=duration)
     session = TransferSession(
         dataclasses.replace(base.spec, epoch_offset_s=offset),
         tuner, base.space, base.x0, param_map=base.param_map,
-        restart_each_epoch=base.restart_each_epoch,
+        restart_each_epoch=base.restart_each_epoch, **recovery,
     )
     return Engine(
         topology=ANL_UC.build_topology(), host=ANL_UC.host,
@@ -276,6 +282,66 @@ def test_non_dyadic_step_sizes_are_bit_identical(dt, mix):
     got = BatchEngine(_non_dyadic_lanes(dt, mix)).run()
     for ref, traces in zip(refs, got):
         assert_bit_identical(ref, traces["main"])
+
+
+#: Every fault kind by hand, with stream crashes on an epoch's first
+#: step and on its last, and an abort after two retried faults.
+HAND_PLACED = FaultSchedule((
+    FaultEvent(STREAM_CRASH, 1, at_fraction=0.0),
+    FaultEvent(LINK_DEGRADE, 2, duration=2, severity=0.4),
+    FaultEvent(STREAM_CRASH, 4, at_fraction=0.999),
+    FaultEvent(OBS_LOSS, 5),
+    FaultEvent(SESSION_ABORT, 6),
+    FaultEvent(LOAD_SPIKE, 7, duration=2, severity=1.5),
+    FaultEvent(BLACKOUT, 9, duration=3),
+))
+
+
+def _faulted_lanes(dt, recovery):
+    """A hand-placed campaign, a seeded campaign over all six kinds, a
+    breaker-tripping blackout burst and a clean lane, under one recovery
+    policy.  With ``retry`` the session budget of 2 runs out at the
+    hand-placed abort, which ends that lane early."""
+    def kit():
+        kw = {}
+        if recovery != "none":
+            kw["retry_policy"] = RetryPolicy(max_retries_per_session=2)
+        if recovery == "retry+breaker":
+            kw["breaker"] = CircuitBreaker(failure_threshold=2,
+                                           cooldown_epochs=2)
+        return kw
+
+    duration = 2 * DURATION
+    return [
+        _lane(dt, "cd", SEED, duration=duration,
+              fault_schedule=HAND_PLACED, **kit()),
+        _lane(dt, "nm", SEED + 1, duration=duration,
+              fault_schedule=FaultSchedule.bernoulli(
+                  SEED, 16, 0.4, kinds=KINDS), **kit()),
+        _lane(dt, "cs", SEED + 2, duration=duration,
+              fault_schedule=FaultSchedule.bursts(SEED, 16, 2, 3),
+              **kit()),
+        _lane(dt, "gss", SEED + 3, duration=duration, **kit()),
+    ]
+
+
+@pytest.mark.parametrize("recovery", ["none", "retry", "retry+breaker"])
+@pytest.mark.parametrize("dt", [1.0, 0.25, 0.1])
+def test_faulted_lanes_are_bit_identical(dt, recovery):
+    """Faulted lanes batch beside clean ones: the span kernel applies
+    each step's fault factor last, by the step loop's own rule, so
+    every lane matches its scalar run — and none falls back."""
+    scalar = _faulted_lanes(dt, recovery)
+    refs = [e.run()["main"] for e in scalar]
+    lanes = _faulted_lanes(dt, recovery)
+    assert [unbatchable_reason(e) for e in lanes] == [None] * len(lanes)
+    got = BatchEngine(lanes).run()
+    for ref, traces in zip(refs, got):
+        assert_bit_identical(ref, traces["main"])
+    assert any(r.faulted for r in refs[0].epochs)
+    # A lane whose abort exhausted the budget stops where run() stops.
+    assert ([e.clock.tick for e in lanes]
+            == [e.clock.tick for e in scalar])
 
 
 # -- BatchEngine construction-time validation --------------------------------

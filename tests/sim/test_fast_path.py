@@ -1,14 +1,13 @@
-"""Fast-path equivalence: the cached/batched engine vs. the reference.
+"""Fast-path equivalence: the allocation-memo engine vs. the reference.
 
 ``EngineConfig(fast_path=True)`` (the default) caches the allocation
-phase on change-point state and batches per-step jitter draws;
-``fast_path=False`` recomputes everything every step.  Both must
-produce **bit-identical** traces — epoch records AND step records —
-because all randomness is drawn from the same streams in the same
-order.  These tests pin that contract across every engine feature that
-interacts with the cache key or the draw order: tuners, faults and
-breaker transitions, varying load schedules, multi-session pairs with
-epoch offsets, step sizes that no binary fraction represents, the joint
+phase on change-point state; ``fast_path=False`` recomputes everything
+every step.  Both must produce **bit-identical** traces — epoch records
+AND step records — because the memo only skips recomputing a pure
+function of its key.  These tests pin that contract across every engine
+feature that interacts with the cache key: tuners, faults and breaker
+transitions, varying load schedules, multi-session pairs with epoch
+offsets, step sizes that no binary fraction represents, the joint
 controller, finite-byte transfers, partial ``run(until_s=...)``, zero
 noise, and crash/resume.
 """
@@ -151,8 +150,8 @@ def _engine(*, fast_path, sessions=None, noise_sigma_step=0.02):
 
 
 def _offset_sessions(duration=DURATION):
-    """Two sessions whose epochs close on *different* steps — the case
-    that stresses the jitter-batch span prediction."""
+    """Two sessions whose epochs close on *different* steps, so one
+    session's dispatch changes the other's allocation mid-epoch."""
     scenario = SCENARIOS["anl-uc"]
     out = []
     for name, path, offset in (
@@ -183,11 +182,11 @@ def test_epoch_offsets_are_bit_identical():
 @pytest.mark.parametrize("kit", ["offset-pair", "faulted"])
 @pytest.mark.parametrize("dt", [0.1, 0.3, 0.7])
 def test_non_dyadic_step_sizes_are_bit_identical(dt, kit):
-    """At step sizes that no binary fraction represents, the
-    jitter-batch prediction's tick arithmetic must end each span on the
-    step the reference loop closes an epoch on — with offset
-    epochs, a 30 s epoch that ``dt`` does not divide, load changes that
-    fall between ticks, and retry backoff stretching restart windows."""
+    """At step sizes that no binary fraction represents, the memo's
+    change-point key must see every epoch close, restart end and load
+    change on the reference loop's step — with offset epochs, a 30 s
+    epoch that ``dt`` does not divide, load changes that fall between
+    ticks, and retry backoff stretching restart windows."""
     load = LoadSchedule([
         (0.0, ExternalLoad(ext_cmp=16, ext_tfr=64)),
         (95.35, ExternalLoad(ext_cmp=16, ext_tfr=16)),
@@ -250,17 +249,11 @@ def test_partial_run_until_s_is_bit_identical():
 
 
 def test_zero_step_noise_is_bit_identical():
-    # sigma_step == 0 means lognormal_factor never draws: the batching
-    # gate must stay off and the cache alone must not change anything.
+    # sigma_step == 0 means lognormal_factor never draws: the cache
+    # alone must not change anything.
     ref = _engine(fast_path=False, noise_sigma_step=0.0).run()["main"]
     fast = _engine(fast_path=True, noise_sigma_step=0.0).run()["main"]
     assert_bit_identical(ref, fast)
-
-
-def test_fast_path_engine_reports_batching_only_when_safe():
-    assert _engine(fast_path=True)._batch_jitter
-    assert not _engine(fast_path=False)._batch_jitter
-    assert not _engine(fast_path=True, noise_sigma_step=0.0)._batch_jitter
 
 
 # -- crash/resume against the reference engine ------------------------------
@@ -286,8 +279,8 @@ def _truncate_after(path, n_epochs: int) -> None:
 def test_kill_and_resume_matches_reference_engine(tmp_path, cut):
     """A fast-path run journaled, truncated mid-run (the on-disk state
     of a SIGKILL), and resumed must equal the *reference* engine's
-    uninterrupted run — resume restores RNG state mid-stream, so any
-    fast-path draw-order slip would surface here."""
+    uninterrupted run — resume restores RNG state mid-stream and drops
+    the memo, so any stale cache entry would surface here."""
     from repro.checkpoint import resume_run, run_journaled
 
     ref = _single("cs", fast_path=False, **_fault_kit())

@@ -15,6 +15,7 @@ from repro.core.registry import make_tuner
 from repro.endpoint.load import ExternalLoad, LoadSchedule
 from repro.experiments.runner import make_session
 from repro.experiments.scenarios import ANL_UC, SCENARIOS
+from repro.faults import FaultSchedule, RetryPolicy
 from repro.service import FleetService
 from repro.service.shard import FleetShard
 from repro.service.tenant import COMPLETED, Tenant, TenantSpec
@@ -25,14 +26,16 @@ DT = 0.1
 DURATION = 300.0  # 3000 x ``+= 0.1`` is 299.9999999999997, 3000 * 0.1 is 300
 
 
-def _engine(fast_path: bool) -> Engine:
-    session = make_session("main", ANL_UC.main_path, make_tuner("cd", 5),
-                           duration_s=DURATION)
+def _engine(fast_path: bool, *, dt: float = DT, seed: int = 5,
+            load: ExternalLoad = ExternalLoad(ext_cmp=16),
+            **recovery) -> Engine:
+    session = make_session("main", ANL_UC.main_path, make_tuner("cd", seed),
+                           duration_s=DURATION, **recovery)
     return Engine(
         topology=ANL_UC.build_topology(), host=ANL_UC.host,
         sessions=[session],
-        schedule=LoadSchedule.constant(ExternalLoad(ext_cmp=16)),
-        config=EngineConfig(dt=DT, seed=5, fast_path=fast_path),
+        schedule=LoadSchedule.constant(load),
+        config=EngineConfig(dt=dt, seed=seed, fast_path=fast_path),
     )
 
 
@@ -75,6 +78,38 @@ def test_fleet_shard_windows_take_exactly_n_steps():
             assert shard.lane_widths() == {1: 10}
     assert traces[0].epochs == traces[1].epochs
     assert traces[0].steps == traces[1].steps
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.2])
+def test_restart_capped_on_the_step_grid_moves_no_negative_bytes(dt):
+    """A retry backoff that reaches the 27.0 s restart cap: at dt 0.1 and
+    0.2 the remainder of ``divmod(27.0, dt)`` lies within float error of
+    a whole step, which is one more dead step, not a ~1e-15 s lead step
+    whose slow-start ramp cancels to a negative rate."""
+    def engine(fast_path):
+        return _engine(fast_path, dt=dt, seed=0, load=ExternalLoad(),
+                       fault_schedule=FaultSchedule.blackout(1, 6),
+                       retry_policy=RetryPolicy())
+
+    ref = engine(False).run()["main"]
+    assert min(step.bytes_moved for step in ref.steps) >= 0.0
+    assert len(ref.epochs) == 10
+    fast = engine(True).run()["main"]
+    lane = BatchEngine([engine(True)]).run()[0]["main"]
+    for trace in (fast, lane):
+        assert trace.epochs == ref.epochs
+        assert trace.steps == ref.steps
+
+
+def test_begin_restart_folds_a_whole_step_remainder():
+    session = make_session("main", ANL_UC.main_path, make_tuner("cd", 0),
+                           duration_s=DURATION)
+    session.bind_dt(DT)
+    session.begin_restart(27.0)  # divmod: (269.0, 0.0999999999999985)
+    assert (session.dead_ticks, session.lead_s) == (270, 0.0)
+    session.begin_restart(2.55)  # an ordinary remainder stays the lead
+    assert session.dead_ticks == 25
+    assert 0.0 < session.lead_s < DT
 
 
 def _fleet(dt: float, batch: bool) -> FleetService:
